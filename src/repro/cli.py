@@ -79,12 +79,7 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.pipeline.collect import CollectionSettings, collect_signatures
-from repro.pipeline.dag import (
-    SweepSpec,
-    dag_status,
-    default_code_version,
-    run_dag,
-)
+from repro.pipeline.dag import SweepSpec, dag_status, run_dag
 from repro.pipeline.experiment import Table1Config, run_table1
 from repro.pipeline.journal import RunJournal, default_journal_path
 from repro.pipeline.predict import measure_runtime, predict_runtime
@@ -776,7 +771,7 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         targets=tuple(args.targets),
         cache_engine=args.cache_engine,
         forms="extended" if args.extended_forms else "paper",
-        code_version=args.code_version or default_code_version(),
+        code_version=args.code_version or obs_manifest.default_code_version(),
         table1=not args.no_table1,
         rate_trust_factor=args.rate_trust_factor,
         accesses_per_probe=args.accesses_per_probe,

@@ -417,6 +417,10 @@ EXTENDED_FORMS: Tuple[CanonicalForm, ...] = PAPER_FORMS + (
     QuadraticForm(),
 )
 
+#: named form sets a fitted model may reference (the names enter model
+#: and DAG content digests, so the mapping must stay append-only)
+FORM_SETS = {"paper": PAPER_FORMS, "extended": EXTENDED_FORMS}
+
 
 @dataclass
 class FitResult:

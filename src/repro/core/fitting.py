@@ -304,6 +304,53 @@ class BatchedFitReport(FitReport):
             values=values,
         )
 
+    # -- persistence (model registry entries, DAG fit artifacts) --------
+
+    #: the fit matrices a persisted report carries, besides ``params_<f>``
+    ARRAYS = ("x", "Y", "sse", "applicable", "order", "n_candidates")
+
+    def to_arrays(self) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """``(meta, arrays)``: the JSON-able identity and the matrices."""
+        batch = self.batch
+        meta = {
+            "core_counts": [int(c) for c in self.core_counts],
+            "level_names": list(self.schema.level_names),
+            "pair_keys": [[int(b), int(k)] for b, k in self.pair_keys],
+            "form_names": [f.name for f in batch.forms],
+        }
+        arrays = {name: getattr(batch, name) for name in self.ARRAYS}
+        for f, params in enumerate(batch.params):
+            arrays[f"params_{f}"] = params
+        return meta, arrays
+
+    @classmethod
+    def from_arrays(
+        cls, meta: dict, forms: Sequence[CanonicalForm], load
+    ) -> "BatchedFitReport":
+        """Inverse of :meth:`to_arrays`; ``load(name)`` returns one
+        array (memory-mapped or not, the caller's choice)."""
+        by_name = {f.name: f for f in forms}
+        try:
+            chosen = tuple(by_name[name] for name in meta["form_names"])
+        except KeyError as exc:
+            raise ValueError(f"fit references unknown form {exc}") from None
+        batch = BatchFitResult(
+            x=np.asarray(load("x"), dtype=np.float64),
+            Y=load("Y"),
+            forms=chosen,
+            params=[load(f"params_{f}") for f in range(len(chosen))],
+            sse=load("sse"),
+            applicable=load("applicable"),
+            order=load("order"),
+            n_candidates=np.asarray(load("n_candidates")),
+        )
+        return cls(
+            core_counts=[int(c) for c in meta["core_counts"]],
+            schema=FeatureSchema(meta["level_names"]),
+            pair_keys=[(int(b), int(k)) for b, k in meta["pair_keys"]],
+            batch=batch,
+        )
+
 
 def fit_feature_series(
     schema: FeatureSchema,

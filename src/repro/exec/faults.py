@@ -190,22 +190,14 @@ class FaultPlan:
 #: process-global override installed by tests (inherited by forked workers)
 _INSTALLED: Optional[FaultPlan] = None
 
-#: per-key count of cache stores, so ``corrupt`` specs can address the
-#: n-th store of a key; only advanced while a plan is active
-_STORE_COUNTS: Dict[str, int] = defaultdict(int)
+#: per-(kind, key) count of store events, so store fault specs can
+#: address the n-th event of a key; only advanced while a plan is active
+_STORE_COUNTS: Dict[Tuple[str, str], int] = defaultdict(int)
 
 #: per-key count of serving batch executions, so serve specs can address
 #: the n-th batch of a key; only advanced while a plan is active
 _SERVE_COUNTS: Dict[str, int] = defaultdict(int)
 
-#: per-digest count of registry model stores (corrupt-model-entry)
-_MODEL_STORE_COUNTS: Dict[str, int] = defaultdict(int)
-
-#: per-key count of DAG artifact commits (corrupt-node-artifact)
-_DAG_STORE_COUNTS: Dict[str, int] = defaultdict(int)
-
-#: per-key count of DAG lock acquisition tries (stale-lock)
-_DAG_LOCK_COUNTS: Dict[str, int] = defaultdict(int)
 
 
 @lru_cache(maxsize=8)
@@ -223,9 +215,6 @@ def install_plan(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
     _INSTALLED = plan
     _STORE_COUNTS.clear()
     _SERVE_COUNTS.clear()
-    _MODEL_STORE_COUNTS.clear()
-    _DAG_STORE_COUNTS.clear()
-    _DAG_LOCK_COUNTS.clear()
     return previous
 
 
@@ -310,17 +299,32 @@ def poison_trace(trace, key: str, attempt: int = 1):
     return trace
 
 
-def check_corrupt(key: str) -> Optional[FaultSpec]:
-    """Corruption spec for the n-th store of cache ``key``, if planned.
+def check_store_fault(kind: str, key: str) -> Optional[FaultSpec]:
+    """Spec of store-fault ``kind`` planned for the n-th event on ``key``.
 
-    The store counter only advances while a plan is active, so plans
-    installed mid-run address stores from their own activation onward.
+    Each kind is consumed at one point of its store consumer:
+
+    - ``corrupt`` — right after a signature-cache store, which then
+      truncates the just-published entry;
+    - ``corrupt-model-entry`` — right after a registry store, which
+      truncates the file the spec's ``feature`` names (``meta``,
+      ``matrix``, or ``template``);
+    - ``corrupt-node-artifact`` — right before the DAG re-validates an
+      existing artifact for reuse, which truncates it in place (bit-rot
+      between runs);
+    - ``stale-lock`` — right before a DAG node's lock acquisition, which
+      plants a lockfile already past the staleness horizon (what a
+      crashed concurrent ``repro dag run`` leaves behind).
+
+    In every case the next read must quarantine (or take over) and
+    recompute.  Counts only advance while a plan is active, so plans
+    installed mid-run address events from their own activation onward.
     """
     plan = active_plan()
     if plan is None:
         return None
-    _STORE_COUNTS[key] += 1
-    return plan.spec_for(key, _STORE_COUNTS[key], kinds=("corrupt",))
+    _STORE_COUNTS[kind, key] += 1
+    return plan.spec_for(key, _STORE_COUNTS[kind, key], kinds=(kind,))
 
 
 def apply_serve_fault(key: str) -> Optional[FaultSpec]:
@@ -346,55 +350,3 @@ def apply_serve_fault(key: str) -> Optional[FaultSpec]:
         time.sleep(spec.seconds)
         return spec
     raise ServeError(spec.message, stage="serve", task_key=key, attempts=attempt)
-
-
-def check_dag_corrupt(key: str) -> Optional[FaultSpec]:
-    """Corruption spec for the n-th reuse validation of DAG node ``key``.
-
-    Consumed by the DAG run engine right before it re-validates an
-    *existing* artifact for reuse: the committed file is truncated in
-    place, so the validation sees a digest mismatch, quarantines the
-    file, and recomputes the node — bit-rot between runs, the sigcache
-    corruption discipline at DAG-node granularity.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _DAG_STORE_COUNTS[key] += 1
-    return plan.spec_for(
-        key, _DAG_STORE_COUNTS[key], kinds=("corrupt-node-artifact",)
-    )
-
-
-def check_stale_lock(key: str) -> Optional[FaultSpec]:
-    """Stale-lock spec for the n-th lock acquisition of DAG node ``key``.
-
-    Consumed by the DAG lock path right before ``O_CREAT|O_EXCL``: when
-    planned, the runner plants a lockfile whose mtime is already past
-    the staleness horizon, forcing the takeover path that a crashed
-    concurrent ``repro dag run`` would otherwise leave behind.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _DAG_LOCK_COUNTS[key] += 1
-    return plan.spec_for(
-        key, _DAG_LOCK_COUNTS[key], kinds=("stale-lock",)
-    )
-
-
-def check_model_corrupt(digest: str) -> Optional[FaultSpec]:
-    """Corruption spec for the n-th registry store of ``digest``, if any.
-
-    Consumed by :meth:`repro.serve.registry.ModelRegistry.put`, which
-    truncates the file the spec's ``feature`` field names (``meta``,
-    ``matrix``, or ``template``) right after the atomic store — the
-    next *load* of that entry then trips quarantine + refit.
-    """
-    plan = active_plan()
-    if plan is None:
-        return None
-    _MODEL_STORE_COUNTS[digest] += 1
-    return plan.spec_for(
-        digest, _MODEL_STORE_COUNTS[digest], kinds=("corrupt-model-entry",)
-    )

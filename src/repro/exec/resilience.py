@@ -46,7 +46,7 @@ from repro.exec import faults
 from repro.exec.pool import _mp_context, _worker_init, resolve_workers
 from repro.obs import trace as obs_trace
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Tally
 from repro.util.errors import (
     TaskCrashError,
     TaskTimeoutError,
@@ -80,39 +80,26 @@ class ResilienceConfig:
 
 
 @dataclass
-class RunReport:
-    """Tally of every recovery event in one run (shared across batches)."""
+class RunReport(
+    Tally("resilience", (
+        "retries", "transient_errors", "timeouts", "crashes",
+        "pool_restarts", "serial_fallbacks", "cache_corruptions",
+    ))
+):
+    """Tally of every recovery event in one run (shared across batches).
 
-    retries: int = 0  #: task re-submissions, all causes
-    transient_errors: int = 0  #: retryable exceptions observed
-    timeouts: int = 0  #: per-attempt deadline expiries
-    crashes: int = 0  #: BrokenProcessPool events (worker deaths)
-    pool_restarts: int = 0  #: pools torn down and rebuilt
-    serial_fallbacks: int = 0  #: degradations to in-process execution
-    cache_corruptions: int = 0  #: quarantined cache entries (via sigcache)
+    Counters: ``retries`` (task re-submissions, all causes),
+    ``transient_errors`` (retryable exceptions observed), ``timeouts``
+    (per-attempt deadline expiries), ``crashes`` (BrokenProcessPool
+    events — worker deaths), ``pool_restarts`` (pools torn down and
+    rebuilt), ``serial_fallbacks`` (degradations to in-process
+    execution), ``cache_corruptions`` (quarantined cache entries, via
+    the sigcache).  Each ``bump`` also lands in
+    :data:`repro.obs.metrics.REGISTRY` as ``resilience.<name>``.
+    """
+
     quarantined: List[str] = field(default_factory=list)
     events: List[str] = field(default_factory=list)
-
-    #: counter fields, in summary() order (the metrics mirroring surface)
-    COUNTER_FIELDS = (
-        "retries",
-        "transient_errors",
-        "timeouts",
-        "crashes",
-        "pool_restarts",
-        "serial_fallbacks",
-        "cache_corruptions",
-    )
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Increment one tally, mirrored into the global metrics registry.
-
-        The report stays the per-run view; ``resilience.<name>`` in
-        :data:`repro.obs.metrics.REGISTRY` accumulates the same counts
-        for the metrics exporter.
-        """
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"resilience.{name}", n)
 
     def record(self, message: str) -> None:
         self.events.append(message)
@@ -121,7 +108,7 @@ class RunReport:
 
     def to_dict(self) -> dict:
         """JSON view: every tally plus the event/quarantine lists."""
-        doc = {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+        doc = super().to_dict()
         doc["quarantined"] = list(self.quarantined)
         doc["events"] = list(self.events)
         return doc
@@ -129,14 +116,8 @@ class RunReport:
     @property
     def clean(self) -> bool:
         """True when no recovery machinery fired."""
-        return not self.events and not (
-            self.retries
-            or self.transient_errors
-            or self.timeouts
-            or self.crashes
-            or self.pool_restarts
-            or self.serial_fallbacks
-            or self.cache_corruptions
+        return not self.events and not any(
+            getattr(self, name) for name in self.COUNTER_FIELDS
         )
 
     def summary(self) -> str:

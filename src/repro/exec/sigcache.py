@@ -15,13 +15,14 @@ across processes.  Anything whose repr embeds a memory address (the
 rather than silently never hitting, and counts the refusal in
 :class:`CacheStats`.
 
-Entries are **corruption-safe**: each file frames the pickled payload
-with a magic header and a SHA-256 content digest, verified on every
-read.  A truncated, bit-flipped, garbage, or pre-digest (legacy) file
-is never an error and never deleted silently — it is moved to a
-``quarantine/`` subdirectory for post-mortem, counted in
-``CacheStats.corrupt``, and reported to the caller as an ordinary miss,
-so pipeline code recollects and repairs the entry automatically.
+Entries live in a :class:`repro.store.Store` (``<root>/<key[:2]>/
+<key>.pkl``, atomic commits) and are **corruption-safe**: each file
+frames the pickled payload with a magic header and a SHA-256 content
+digest, verified on every read.  A truncated, bit-flipped, garbage, or
+pre-digest (legacy) file is never an error and never deleted silently —
+the store moves it to ``quarantine/`` for post-mortem, it is counted in
+``CacheStats.corrupt``, and the caller sees an ordinary miss, so
+pipeline code recollects and repairs the entry automatically.
 """
 
 from __future__ import annotations
@@ -29,18 +30,14 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 from repro.exec import faults
-from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import Tally
+from repro.store import Store
 from repro.util.errors import CacheCorruptionError
 from repro.util.rng import DEFAULT_ROOT_SEED
-
-log = get_logger("exec.sigcache")
 
 #: bump when collection output semantics change; invalidates all entries
 #: (2: digest-framed entry format)
@@ -51,9 +48,6 @@ ENV_CACHE_ROOT = "REPRO_SIGNATURE_CACHE"
 
 #: entry framing: magic, 64 hex digest chars, newline, pickled payload
 ENTRY_MAGIC = b"repro-sig\x00v2\n"
-
-#: subdirectory corrupt entries are moved to (never silently deleted)
-QUARANTINE_DIR = "quarantine"
 
 
 def _stable_token(obj) -> Optional[str]:
@@ -80,45 +74,21 @@ def app_token(app) -> Optional[str]:
     return ";".join(parts)
 
 
-@dataclass
-class CacheStats:
-    """Counters for one cache instance's lifetime.
-
-    A thin per-instance view: every increment goes through :meth:`bump`,
-    which mirrors into the global metrics registry as ``cache.<name>``,
-    so the ``--metrics-out`` export always agrees with this summary.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    uncacheable: int = 0
-    corrupt: int = 0
-
-    COUNTER_FIELDS = ("hits", "misses", "stores", "uncacheable", "corrupt")
-
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"cache.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def __str__(self) -> str:
-        return (
-            f"hits={self.hits} misses={self.misses} "
-            f"stores={self.stores} uncacheable={self.uncacheable} "
-            f"corrupt={self.corrupt}"
-        )
+class CacheStats(
+    Tally("cache", ("hits", "misses", "stores", "uncacheable", "corrupt"))
+):
+    """Counters for one cache instance's lifetime, mirrored into the
+    metrics registry as ``cache.<name>``, so the ``--metrics-out``
+    export always agrees with this summary."""
 
 
 class SignatureCache:
     """Directory of pickled signatures, one file per key.
 
     The default root is ``$REPRO_SIGNATURE_CACHE`` or
-    ``~/.cache/repro/signatures``.  Writes are atomic (temp file +
-    rename), so concurrent processes can share a cache directory; a
-    racing double-store just writes the same bytes twice.
+    ``~/.cache/repro/signatures``.  Writes are atomic store commits,
+    so concurrent processes can share a cache directory; a racing
+    double-store just writes the same bytes twice.
     """
 
     def __init__(self, root: Union[str, Path, None] = None):
@@ -128,15 +98,12 @@ class SignatureCache:
             )
         self.root = Path(root)
         self.stats = CacheStats()
+        self.store = Store(self.root, ".pkl")
         self._report = None
 
     def bind_report(self, report) -> None:
         """Mirror corruption events into a resilience ``RunReport``."""
         self._report = report
-
-    @property
-    def quarantine_root(self) -> Path:
-        return self.root / QUARANTINE_DIR
 
     # ------------------------------------------------------------------
     # keying
@@ -175,9 +142,6 @@ class SignatureCache:
         )
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.pkl"
-
     # ------------------------------------------------------------------
     # storage
 
@@ -210,21 +174,6 @@ class SignatureCache:
                 f"undigestible payload: {type(exc).__name__}", stage="cache"
             )
 
-    def _quarantine(self, key: str, reason: str) -> None:
-        """Move a corrupt entry aside (never delete it) and count it."""
-        self.stats.bump("corrupt")
-        log.warning("quarantining cache entry %s: %s", key, reason)
-        try:
-            self.quarantine_root.mkdir(parents=True, exist_ok=True)
-            os.replace(self._path(key), self.quarantine_root / f"{key}.pkl")
-        except OSError:
-            # the entry raced away or the move failed; it stays counted
-            pass
-        if self._report is not None:
-            self._report.bump("cache_corruptions")
-            self._report.quarantined.append(key)
-            self._report.record(f"quarantined cache entry {key}: {reason}")
-
     def get(self, key: Optional[str]):
         """Cached signature for ``key``, or ``None`` on any miss.
 
@@ -234,12 +183,16 @@ class SignatureCache:
         """
         if key is None:
             return None
-        path = self._path(key)
         try:
-            sig = self._read_verified(path)
+            sig = self._read_verified(self.store.path(key))
         except CacheCorruptionError as exc:
-            if path.exists():
-                self._quarantine(key, str(exc))
+            # moved aside (never deleted), counted, mirrored to the run
+            self.stats.bump("corrupt")
+            self.store.quarantine(key, str(exc))
+            if self._report is not None:
+                self._report.bump("cache_corruptions")
+                self._report.quarantined.append(key)
+                self._report.record(f"quarantined cache entry {key}: {exc}")
             self.stats.bump("misses")
             return None
         except OSError:
@@ -255,22 +208,12 @@ class SignatureCache:
             return
         payload = pickle.dumps(signature, protocol=pickle.HIGHEST_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest().encode("ascii")
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(ENTRY_MAGIC + digest + b"\n" + payload)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        with self.store.commit(key) as tmp:
+            tmp.write_bytes(ENTRY_MAGIC + digest + b"\n" + payload)
         self.stats.bump("stores")
-        spec = faults.check_corrupt(key)
+        spec = faults.check_store_fault("corrupt", key)
         if spec is not None:
             # injected corruption: truncate the just-published entry so
             # the next read exercises the quarantine path
-            entry = self._path(key)
+            entry = self.store.path(key)
             entry.write_bytes(entry.read_bytes()[: max(1, len(payload) // 2)])

@@ -20,7 +20,7 @@ from repro.guard.config import GuardConfig
 from repro.guard.gates import GateFlag
 from repro.guard.violations import GuardViolation
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import Tally
 
 log = get_logger("guard")
 
@@ -68,8 +68,19 @@ class TraceDegradation:
 
 
 @dataclass
-class DegradationReport:
-    """Everything the guards observed and did in one run."""
+class DegradationReport(
+    Tally("guard", (
+        "n_violations", "n_gate_flags", "n_elements_degraded",
+        "n_traces_degraded", "n_refusals", "n_spot_checks",
+        "n_spot_disagreements", "n_crossval_flagged", "n_residual_flagged",
+    ), strip="n_")
+):
+    """Everything the guards observed and did in one run.
+
+    The ``n_*`` counters mirror into the metrics registry as
+    ``guard.<name>`` (sans the ``n_`` prefix); ``n_spot_checks`` counts
+    pairs compared against the reference engine.
+    """
 
     policy: str = "degrade"
     trust_threshold: Optional[float] = None
@@ -81,39 +92,9 @@ class DegradationReport:
     degraded_traces: List[TraceDegradation] = field(default_factory=list)
     refusal_messages: List[str] = field(default_factory=list)
 
-    # counters (mirrored into REGISTRY as guard.<name>)
-    n_violations: int = 0
-    n_gate_flags: int = 0
-    n_elements_degraded: int = 0
-    n_traces_degraded: int = 0
-    n_refusals: int = 0
-    n_spot_checks: int = 0  #: pairs compared against the reference engine
-    n_spot_disagreements: int = 0
-    n_crossval_flagged: int = 0
-    n_residual_flagged: int = 0
-
-    #: counter fields, in summary() order (the metrics mirroring surface)
-    COUNTER_FIELDS = (
-        "n_violations",
-        "n_gate_flags",
-        "n_elements_degraded",
-        "n_traces_degraded",
-        "n_refusals",
-        "n_spot_checks",
-        "n_spot_disagreements",
-        "n_crossval_flagged",
-        "n_residual_flagged",
-    )
-
     @classmethod
     def for_config(cls, config: GuardConfig) -> "DegradationReport":
         return cls(policy=config.policy, trust_threshold=config.trust_threshold)
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Increment one tally, mirrored into the global metrics registry
-        as ``guard.<name>`` (sans the ``n_`` prefix)."""
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"guard.{name[2:] if name.startswith('n_') else name}", n)
 
     # -- recording ------------------------------------------------------
 

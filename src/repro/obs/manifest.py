@@ -67,6 +67,11 @@ def git_sha() -> Optional[str]:
     return sha if out.returncode == 0 and sha else None
 
 
+def default_code_version() -> str:
+    """The code-version token baked into model and DAG specs."""
+    return git_sha() or "unversioned"
+
+
 def _describe_output(value: Union[str, Path, bytes]) -> dict:
     if isinstance(value, bytes):
         return {"sha256": digest_bytes(value), "bytes": len(value)}

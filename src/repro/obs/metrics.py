@@ -4,11 +4,12 @@ One global :data:`REGISTRY` absorbs every tally the pipeline produces —
 the signature cache's hit/miss/store/corrupt counts, the resilient
 executor's recovery events, per-stage wall-clock timers, cache-simulator
 throughput counters — and exports them as one JSON document
-(``--metrics-out metrics.json``).  The legacy per-instance tallies
+(``--metrics-out metrics.json``).  The per-instance tallies
 (:class:`repro.exec.sigcache.CacheStats`,
-:class:`repro.exec.resilience.RunReport`) remain as thin views: their
-increment sites mirror into the registry, so the exported counters
-always equal the legacy text summaries.
+:class:`repro.exec.resilience.RunReport`, and eight more) are thin
+views built by one helper, :func:`Tally`: their single ``bump``
+mirrors every increment into the registry, so the exported counters,
+the run manifest, and the text summaries agree by construction.
 
 Everything here is observability-only: no RNG, no influence on any
 numeric pipeline output, and cheap enough (dict updates) to stay always
@@ -23,8 +24,9 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import make_dataclass
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.obs.telemetry import StreamingHistogram
 
@@ -271,3 +273,55 @@ class MetricsRegistry:
 
 #: the process-global registry every pipeline layer reports into
 REGISTRY = MetricsRegistry()
+
+
+class _TallyBase:
+    """Behaviour shared by every :func:`Tally` class."""
+
+    #: counter fields, in declaration order (the mirroring surface)
+    COUNTER_FIELDS: Tuple[str, ...] = ()
+    #: field -> registry counter name, built once per class
+    METRIC_NAMES: Dict[str, str] = {}
+
+    def bump(self, name: str, n: int = 1) -> None:
+        """Increment one tally and its registry counter.
+
+        Runs per query on the serve hot path, so it allocates nothing
+        beyond the two additions: the metric name is looked up, never
+        formatted.
+        """
+        setattr(self, name, getattr(self, name) + n)
+        REGISTRY.inc(self.METRIC_NAMES[name], n)
+
+    def to_dict(self) -> dict:
+        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+
+    def __str__(self) -> str:
+        return " ".join(
+            f"{name}={getattr(self, name)}" for name in self.COUNTER_FIELDS
+        )
+
+
+def Tally(prefix: str, fields: Sequence[str], *, strip: str = "") -> type:
+    """Dataclass base of integer counters mirrored into :data:`REGISTRY`.
+
+    ``class CacheStats(Tally("cache", ("hits", "misses")))`` gets zeroed
+    ``hits``/``misses`` fields, a ``bump`` that also increments
+    ``cache.hits``/``cache.misses``, and a ``to_dict`` of the counters.
+    ``strip`` drops a field-name prefix from the metric name
+    (``n_violations`` counts as ``guard.violations``).  Subclasses add
+    their own non-counter fields with ``@dataclass``; every field
+    default must then be explicit, since the counters come first.
+    """
+    fields = tuple(fields)
+    base = make_dataclass(
+        f"Tally_{prefix.replace('.', '_')}",
+        [(name, int, 0) for name in fields],
+        bases=(_TallyBase,),
+    )
+    base.COUNTER_FIELDS = fields
+    base.METRIC_NAMES = {
+        name: f"{prefix}.{name[len(strip):] if name.startswith(strip) else name}"
+        for name in fields
+    }
+    return base

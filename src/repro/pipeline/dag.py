@@ -19,20 +19,21 @@ model:
   (``state.jsonl``) with flush+fsync per record; a torn tail from a
   SIGKILL mid-append is skipped on recovery, so the store is readable
   after a kill at *any* instant and a committed node is never lost.
-- **Atomic artifacts.**  Node outputs commit via the shared
-  tmp + ``os.replace`` discipline (:mod:`repro.util.atomic`), so an
-  artifact either exists complete or not at all — re-running after a
-  crash recomputes exactly the nodes whose artifacts did not commit,
-  and the outputs are bit-identical to an uninterrupted run.
+- **Atomic artifacts.**  Node outputs live in a :class:`repro.store.Store`
+  under the DAG root (``<root>/<key[:2]>/<key><ext>``) and commit
+  atomically, so an artifact either exists complete or not at all —
+  re-running after a crash recomputes exactly the nodes whose artifacts
+  did not commit, and the outputs are bit-identical to an uninterrupted
+  run.  An artifact whose bytes no longer match the sha256 recorded in
+  ``state.jsonl`` is quarantined by the store and recomputed.
 - **Fault isolation.**  A failing node is recorded, not raised: its
   downstream cone is marked *poisoned* (one
   :class:`~repro.guard.violations.GuardViolation` per poisoned node)
   and every independent branch keeps executing.
-- **Concurrency.**  ``O_CREAT|O_EXCL`` lockfiles with stale-mtime
-  takeover (the :mod:`repro.serve.registry` idiom) let two ``repro dag
-  run`` processes share one cache directory: exactly one executes each
-  node; the loser polls, refreshes the state store, and adopts the
-  winner's artifact.
+- **Concurrency.**  The store's per-key lock (``O_CREAT|O_EXCL`` with
+  stale-mtime takeover) lets two ``repro dag run`` processes share one
+  cache directory: exactly one executes each node; the loser polls,
+  refreshes the state store, and adopts the winner's artifact.
 
 Ready nodes execute in topological waves through
 :func:`~repro.exec.resilience.run_tasks_resilient`, so per-node
@@ -46,8 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -55,8 +54,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.engine import ENGINE_NAMES
-from repro.core.batchfit import BatchFitResult
-from repro.core.canonical import EXTENDED_FORMS, PAPER_FORMS
+from repro.core.canonical import FORM_SETS
 from repro.core.extrapolate import fit_traces, synthesize_from_prediction
 from repro.core.fitting import BatchedFitReport
 from repro.exec import faults
@@ -69,13 +67,12 @@ from repro.guard.violations import GuardViolation
 from repro.instrument.collector import CollectorConfig
 from repro.machine.systems import get_machine, get_spec
 from repro.obs.log import get_logger
-from repro.obs.manifest import digest_file, git_sha
-from repro.obs.metrics import REGISTRY
+from repro.obs.manifest import default_code_version, digest_file
+from repro.obs.metrics import REGISTRY, Tally
 from repro.obs.trace import span
 from repro.pipeline.journal import RunJournal
-from repro.trace.features import FeatureSchema
+from repro.store import LockTimeout, Store
 from repro.trace.tracefile import TraceFile
-from repro.util.atomic import atomic_writer
 from repro.util.errors import DagError
 from repro.util.tables import Table
 
@@ -86,31 +83,6 @@ log = get_logger("pipeline.dag")
 DAG_SCHEMA_VERSION = 1
 
 STATE_FILE = "state.jsonl"
-ARTIFACTS_DIR = "artifacts"
-LOCKS_DIR = "locks"
-QUARANTINE_DIR = "quarantine"
-
-#: named canonical-form sets a spec may reference (mirrors the serving
-#: registry's map; defined locally so the DAG never imports the serve
-#: stack)
-FORM_SETS = {"paper": PAPER_FORMS, "extended": EXTENDED_FORMS}
-
-#: fit-bundle matrices persisted into the fit node's .npz, in manifest
-#: order: (array name, BatchFitResult attribute)
-_FIT_ARRAYS = (
-    ("x", "x"),
-    ("Y", "Y"),
-    ("sse", "sse"),
-    ("applicable", "applicable"),
-    ("order", "order"),
-    ("n_candidates", "n_candidates"),
-)
-
-
-def default_code_version() -> str:
-    """The code-version token baked into new specs."""
-    return git_sha() or "unversioned"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -475,7 +447,7 @@ def _rule_report_whatif(name: str, spec: SweepSpec, parents: Dict[str, Path]):
     table = Table(
         columns=["Application", "Core Count", "Predicted Runtime (s)"],
         title="What-if sweep: predicted runtimes from extrapolated traces",
-        float_fmt=".1f",
+        float_fmt=".6f",
     )
     for t in spec.targets:
         table.add_row(spec.app, t, predictions[str(t)])
@@ -501,18 +473,8 @@ _RULES = {
 
 
 def _save_fit(report: BatchedFitReport, forms_set: str, path: Path) -> None:
-    batch = report.batch
-    arrays = {stem: getattr(batch, attr) for stem, attr in _FIT_ARRAYS}
-    for f, params in enumerate(batch.params):
-        arrays[f"params_{f}"] = params
-    meta = {
-        "schema_version": DAG_SCHEMA_VERSION,
-        "core_counts": [int(c) for c in report.core_counts],
-        "level_names": list(report.schema.level_names),
-        "pair_keys": [[int(b), int(k)] for b, k in report.pair_keys],
-        "form_names": [f.name for f in batch.forms],
-        "forms_set": forms_set,
-    }
+    meta, arrays = report.to_arrays()
+    meta.update(schema_version=DAG_SCHEMA_VERSION, forms_set=forms_set)
     arrays["meta"] = np.frombuffer(
         json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
     )
@@ -528,32 +490,9 @@ def _load_fit(path: Path) -> BatchedFitReport:
                 f"{meta.get('schema_version')!r} in {path}",
                 stage="dag",
             )
-        by_name = {f.name: f for f in FORM_SETS[meta["forms_set"]]}
-        try:
-            forms = tuple(by_name[n] for n in meta["form_names"])
-        except KeyError as exc:
-            raise DagError(
-                f"fit bundle {path} references unknown form {exc}",
-                stage="dag",
-            )
-        batch = BatchFitResult(
-            x=np.asarray(data["x"], dtype=np.float64),
-            Y=np.asarray(data["Y"]),
-            forms=forms,
-            params=[
-                np.asarray(data[f"params_{f}"]) for f in range(len(forms))
-            ],
-            sse=np.asarray(data["sse"]),
-            applicable=np.asarray(data["applicable"]),
-            order=np.asarray(data["order"]),
-            n_candidates=np.asarray(data["n_candidates"]),
+        return BatchedFitReport.from_arrays(
+            meta, FORM_SETS[meta["forms_set"]], data.__getitem__
         )
-    return BatchedFitReport(
-        core_counts=meta["core_counts"],
-        schema=FeatureSchema(meta["level_names"]),
-        pair_keys=[(int(b), int(k)) for b, k in meta["pair_keys"]],
-        batch=batch,
-    )
 
 
 def _execute_node(
@@ -561,7 +500,9 @@ def _execute_node(
     rule: str,
     spec: SweepSpec,
     parent_paths: Dict[str, str],
-    out_path: str,
+    root: str,
+    key: str,
+    ext: str,
 ) -> dict:
     """Run one node and atomically commit its artifact.
 
@@ -569,12 +510,12 @@ def _execute_node(
     (``raise``/``hang``/``crash``/``node-crash``) were already applied
     by the executor under the key ``dag:<name>``.
     """
-    out = Path(out_path)
+    store = Store(root, ext)
     with span("dag.node", node=name, rule=rule):
         payload = _RULES[rule](
             name, spec, {k: Path(v) for k, v in parent_paths.items()}
         )
-        with atomic_writer(out) as tmp:
+        with store.commit(key) as tmp:
             if isinstance(payload, TraceFile):
                 payload.save_npz(tmp)
             elif isinstance(payload, BatchedFitReport):
@@ -583,7 +524,7 @@ def _execute_node(
                 tmp.write_text(
                     json.dumps(payload, indent=2, sort_keys=True) + "\n"
                 )
-    return {"sha256": digest_file(out)}
+    return {"sha256": digest_file(store.path(key))}
 
 
 # ---------------------------------------------------------------------------
@@ -591,35 +532,23 @@ def _execute_node(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DagStats:
-    """Counters for one DAG run, mirrored to ``dag.*`` registry metrics."""
-
-    executed: int = 0  #: nodes this run computed and committed
-    clean: int = 0  #: nodes reused (valid artifact already present)
-    failed: int = 0  #: nodes whose rule raised (isolated, not fatal)
-    poisoned: int = 0  #: nodes skipped because an ancestor failed
-    quarantined: int = 0  #: corrupt artifacts moved aside, then redone
-    lock_waits: int = 0  #: polls spent waiting on another process's lock
-    lock_takeovers: int = 0  #: stale locks removed (crashed holder)
-    node_crashes: int = 0  #: worker deaths observed while executing nodes
-
-    COUNTER_FIELDS = (
+class DagStats(
+    Tally("dag", (
         "executed", "clean", "failed", "poisoned", "quarantined",
         "lock_waits", "lock_takeovers", "node_crashes",
-    )
+    ))
+):
+    """Counters for one DAG run, mirrored to ``dag.*`` registry metrics.
 
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"dag.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def __str__(self) -> str:
-        return " ".join(
-            f"{name}={getattr(self, name)}" for name in self.COUNTER_FIELDS
-        )
+    ``executed``: nodes this run computed and committed; ``clean``:
+    nodes reused (valid artifact already present); ``failed``: nodes
+    whose rule raised (isolated, not fatal); ``poisoned``: nodes skipped
+    because an ancestor failed; ``quarantined``: corrupt artifacts moved
+    aside, then redone; ``lock_waits``: polls spent waiting on another
+    process's lock; ``lock_takeovers``: stale locks removed (crashed
+    holder); ``node_crashes``: worker deaths observed while executing
+    nodes.
+    """
 
 
 @dataclass
@@ -654,82 +583,16 @@ class DagRunResult:
         }
 
 
-def _artifact_path(root: Path, key: str, ext: str) -> Path:
-    return root / ARTIFACTS_DIR / f"{key}{ext}"
-
-
-def _lock_path(root: Path, key: str) -> Path:
-    return root / LOCKS_DIR / f"{key}.lock"
-
-
-def _try_lock(
-    root: Path, key: str, stats: DagStats, lock_stale_s: float
-) -> bool:
-    """O_EXCL advisory node lock; False = somebody else is executing.
-
-    A lock older than ``lock_stale_s`` is presumed abandoned (the
-    executor was SIGKILLed between acquire and release) and removed, so
-    the next poll can take over.
-    """
-    path = _lock_path(root, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        try:
-            age = time.time() - path.stat().st_mtime
-        except OSError:
-            return False  # holder released between checks; re-poll
-        if age > lock_stale_s:
-            try:
-                os.remove(path)
-            except OSError:  # pragma: no cover - lost the takeover race
-                pass
-            else:
-                stats.bump("lock_takeovers")
-                log.warning(
-                    "took over stale node lock %s (age %.1fs)", key[:12], age
-                )
-        return False
-    with os.fdopen(fd, "w") as fh:
-        fh.write(f"{os.getpid()} {time.time():.6f}\n")
-    return True
-
-
-def _unlock(root: Path, key: str) -> None:
-    try:
-        os.remove(_lock_path(root, key))
-    except OSError:  # pragma: no cover - already taken over
-        pass
-
-
-def _plant_stale_lock(root: Path, key: str, lock_stale_s: float) -> None:
-    """``stale-lock`` fault: materialize an abandoned holder's lockfile."""
-    path = _lock_path(root, key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("0 0.0\n")
-    stale = time.time() - lock_stale_s - 60.0
-    os.utime(path, (stale, stale))
-
-
-def _quarantine_artifact(
-    root: Path, art: Path, key: str, stats: DagStats
-) -> None:
-    """Move a corrupt artifact aside (never delete: forensics first)."""
-    qdir = root / QUARANTINE_DIR
-    qdir.mkdir(parents=True, exist_ok=True)
-    n = 0
-    while True:
-        dest = qdir / f"{key}-{n}{art.suffix}"
-        if not dest.exists():
-            break
-        n += 1
-    try:
-        os.replace(art, dest)
-    except OSError:  # pragma: no cover - a concurrent run moved it first
-        return
-    stats.bump("quarantined")
-    log.warning("quarantined corrupt artifact %s -> %s", art.name, dest.name)
+def _stores(
+    dag: Dag, root: Path, stats: Optional[DagStats] = None,
+    lock_stale_s: float = 30.0,
+) -> Dict[str, Store]:
+    """One artifact store per node extension, all under the DAG root
+    (so they share its ``locks/`` and ``quarantine/`` directories)."""
+    return {
+        ext: Store(root, ext, stats=stats, lock_stale_s=lock_stale_s)
+        for ext in sorted({n.ext for n in dag.nodes.values()})
+    }
 
 
 def _artifact_valid(art: Path, meta: Optional[dict]) -> bool:
@@ -764,12 +627,12 @@ def run_dag(
     """
     dag = build_dag(spec)
     root = Path(root)
-    (root / ARTIFACTS_DIR).mkdir(parents=True, exist_ok=True)
     resilience = resilience or ResilienceConfig()
     report = report if report is not None else RunReport()
     stats = DagStats()
+    stores = _stores(dag, root, stats, lock_stale_s)
     REGISTRY.gauge("dag.nodes_total").set(float(len(dag.nodes)))
-    store = RunJournal(root / STATE_FILE, resume=not fresh)
+    journal = RunJournal(root / STATE_FILE, resume=not fresh)
     statuses: Dict[str, str] = {}
     digests: Dict[str, str] = {}
     artifacts: Dict[str, str] = {}
@@ -781,14 +644,13 @@ def run_dag(
         with span("dag.run", app=spec.app, nodes=len(dag.nodes)):
             while pending:
                 _run_wave(
-                    dag, root, store, pending, statuses, digests, artifacts,
-                    errors, bad, violations, stats, report,
+                    dag, stores, journal, pending, statuses, digests,
+                    artifacts, errors, bad, violations, stats, report,
                     workers=workers, resilience=resilience,
-                    lock_stale_s=lock_stale_s, lock_poll_s=lock_poll_s,
-                    lock_wait_s=lock_wait_s,
+                    lock_poll_s=lock_poll_s, lock_wait_s=lock_wait_s,
                 )
     finally:
-        store.close()
+        journal.close()
     log.info("dag run complete: %s", stats)
     return DagRunResult(
         spec=spec, root=root, statuses=statuses, digests=digests,
@@ -799,8 +661,8 @@ def run_dag(
 
 def _run_wave(
     dag: Dag,
-    root: Path,
-    store: RunJournal,
+    stores: Dict[str, Store],
+    journal: RunJournal,
     pending: Dict[str, Node],
     statuses: Dict[str, str],
     digests: Dict[str, str],
@@ -813,18 +675,17 @@ def _run_wave(
     *,
     workers: Optional[int],
     resilience: ResilienceConfig,
-    lock_stale_s: float,
     lock_poll_s: float,
     lock_wait_s: float,
 ) -> None:
     spec = dag.spec
-    # poison-cone propagation first: a node below any failed/poisoned
-    # ancestor is skipped with a violation, never executed
-    poisoned = [
-        n for n in pending.values() if any(p in bad for p in n.parents)
-    ]
-    for node in poisoned:
-        cause = next(p for p in node.parents if p in bad)
+    # poison-cone propagation first, down the whole cone: a node below
+    # any failed/poisoned ancestor is skipped with a violation, never
+    # executed
+    for node in list(pending.values()):  # construction order is topological
+        cause = next((p for p in node.parents if p in bad), None)
+        if cause is None:
+            continue
         statuses[node.name] = "poisoned"
         bad[node.name] = f"poisoned via {cause}"
         stats.bump("poisoned")
@@ -849,7 +710,7 @@ def _run_wave(
         return
 
     def adopt_clean(node: Node, key: str, art: Path) -> None:
-        digests[node.name] = store.meta(key)["sha256"]
+        digests[node.name] = journal.meta(key)["sha256"]
         artifacts[node.name] = str(art)
         statuses[node.name] = "clean"
         stats.bump("clean")
@@ -859,65 +720,66 @@ def _run_wave(
     to_run: List[Tuple[Node, str, Path]] = []
     for node in ready:
         key = node_key(node, spec, digests)
-        art = _artifact_path(root, key, node.ext)
-        if art.exists() and (
-            faults.check_dag_corrupt(f"dag:{node.name}") is not None
+        art = stores[node.ext].path(key)
+        if art.exists() and faults.check_store_fault(
+            "corrupt-node-artifact", f"dag:{node.name}"
         ):
             # bit-rot fault: damage the committed bytes right before
             # reuse validation, which must catch and quarantine them
             data = art.read_bytes()
             art.write_bytes(data[: len(data) // 2])
             log.warning("fault plan corrupted artifact of %s", node.name)
-        meta = store.meta(key)
+        meta = journal.meta(key)
         if _artifact_valid(art, meta):
             adopt_clean(node, key, art)
             continue
         if meta and meta.get("status") == "done" and art.exists():
             # committed digest no longer matches the bytes: bit-rot or
             # an injected corrupt-node-artifact — quarantine, then redo
-            _quarantine_artifact(root, art, key, stats)
+            stores[node.ext].quarantine(
+                key, f"{node.name}: bytes do not match the committed sha256"
+            )
         to_run.append((node, key, art))
 
     # node locks: exactly one process executes each node; losers poll,
     # refresh the shared state store, and adopt the winner's artifact
     runnable: List[Tuple[Node, str, Path]] = []
     for node, key, art in to_run:
-        if faults.check_stale_lock(f"dag:{node.name}") is not None:
-            _plant_stale_lock(root, key, lock_stale_s)
-        adopted = False
-        waited = 0.0
-        while not _try_lock(root, key, stats, lock_stale_s):
-            stats.bump("lock_waits")
-            time.sleep(lock_poll_s)
-            waited += lock_poll_s
-            store.refresh()
-            if _artifact_valid(art, store.meta(key)):
-                adopted = True
-                break
-            if waited >= lock_wait_s:
-                raise DagError(
-                    f"timed out after {lock_wait_s:.0f}s waiting for the "
-                    f"node lock of {node.name}",
-                    stage="dag", task_key=key,
-                )
-        if not adopted:
-            # double-check under the lock: the previous holder may have
-            # committed while we raced for it
-            store.refresh()
-            if _artifact_valid(art, store.meta(key)):
-                _unlock(root, key)
-                adopted = True
-        if adopted:
-            adopt_clean(node, key, art)
-        else:
+        store = stores[node.ext]
+        if faults.check_store_fault("stale-lock", f"dag:{node.name}"):
+            store.plant_stale_lock(key)
+
+        def committed(key: str = key, art: Path = art) -> bool:
+            journal.refresh()
+            return _artifact_valid(art, journal.meta(key))
+
+        try:
+            held = store.acquire(
+                key, poll_s=lock_poll_s, done=committed, wait_s=lock_wait_s
+            )
+        except LockTimeout:
+            raise DagError(
+                f"timed out after {lock_wait_s:.0f}s waiting for the "
+                f"node lock of {node.name}",
+                stage="dag", task_key=key,
+            )
+        # double-check under the lock: the previous holder may have
+        # committed while we raced for it
+        if held and committed():
+            store.unlock(key)
+            held = False
+        if held:
             runnable.append((node, key, art))
+        else:
+            adopt_clean(node, key, art)
     if not runnable:
         return
 
     tasks = [
         (
             node.name, node.rule, spec,
-            {p: artifacts[p] for p in node.parents}, str(art),
+            {p: artifacts[p] for p in node.parents},
+            str(stores[node.ext].root), key, node.ext,
         )
         for node, key, art in runnable
     ]
@@ -928,12 +790,12 @@ def _run_wave(
         # a SIGKILL after this line never re-executes the node
         node, key, _art = runnable[i]
         if isinstance(value, Exception):
-            store.amend(
+            journal.amend(
                 key, node=node.name, rule=node.rule, status="failed",
                 error=str(value),
             )
         else:
-            store.amend(
+            journal.amend(
                 key, node=node.name, rule=node.rule, status="done",
                 sha256=value["sha256"],
             )
@@ -951,7 +813,7 @@ def _run_wave(
     if report.crashes > crashes_before:
         stats.bump("node_crashes", report.crashes - crashes_before)
     for (node, key, art), value in zip(runnable, results):
-        _unlock(root, key)
+        stores[node.ext].unlock(key)
         del pending[node.name]
         if isinstance(value, Exception) or value is None:
             message = str(value) if value is not None else "no result"
@@ -1009,12 +871,13 @@ def dag_status(spec: SweepSpec, root: Union[str, Path]) -> List[NodeStatus]:
     """
     dag = build_dag(spec)
     root = Path(root)
+    stores = _stores(dag, root)
     metas: Dict[str, Optional[dict]] = {}
     state_path = root / STATE_FILE
     if state_path.exists():
-        store = RunJournal(state_path, resume=True)
-        metas = store.metas()
-        store.close()
+        journal = RunJournal(state_path, resume=True)
+        metas = journal.metas()
+        journal.close()
     built_names = {
         meta.get("node") for meta in metas.values() if meta
     }
@@ -1029,7 +892,7 @@ def dag_status(spec: SweepSpec, root: Union[str, Path]) -> List[NodeStatus]:
             ))
             continue
         key = node_key(node, spec, digests)
-        art = _artifact_path(root, key, node.ext)
+        art = stores[node.ext].path(key)
         meta = metas.get(key)
         if meta and meta.get("status") == "done":
             if not art.exists():

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import Tally
 
 log = get_logger("pipeline.journal")
 
@@ -37,28 +36,11 @@ def unit_key(*parts) -> str:
     return ":".join(str(p) for p in parts)
 
 
-@dataclass
-class JournalStats:
-    """Counters for one journal instance's lifetime."""
-
-    resumed: int = 0  #: units skipped because a previous run completed them
-    marked: int = 0  #: units newly committed by this run
-    amended: int = 0  #: units re-committed with replacement metadata
-
-    COUNTER_FIELDS = ("resumed", "marked", "amended")
-
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"journal.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
-
-    def __str__(self) -> str:
-        return (
-            f"resumed={self.resumed} marked={self.marked} "
-            f"amended={self.amended}"
-        )
+class JournalStats(Tally("journal", ("resumed", "marked", "amended"))):
+    """Counters for one journal instance's lifetime: units ``resumed``
+    (skipped because a previous run completed them), ``marked`` (newly
+    committed by this run) and ``amended`` (re-committed with
+    replacement metadata)."""
 
 
 class RunJournal:

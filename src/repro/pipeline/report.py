@@ -23,7 +23,7 @@ def table1_report(rows: Iterable[Table1Row]) -> str:
             "% Error",
         ],
         title="Table I: prediction errors using extrapolated and collected traces",
-        float_fmt=".1f",
+        float_fmt=".6f",
     )
     for row in rows:
         table.add_row(

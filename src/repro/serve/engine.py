@@ -64,7 +64,7 @@ import numpy as np
 
 from repro.exec import faults
 from repro.exec.resilience import run_tasks_resilient
-from repro.obs.metrics import REGISTRY, TimerState
+from repro.obs.metrics import REGISTRY, Tally, TimerState
 from repro.obs.trace import span
 from repro.serve.batcher import MicroBatcher
 from repro.serve.registry import FittedModel, ModelRegistry
@@ -199,28 +199,12 @@ class ServeConfig:
         # max_batch / window_s are validated by MicroBatcher
 
 
-@dataclass
-class EngineStats:
+class EngineStats(
+    Tally("serve", (
+        "queries", "answered", "failed", "rejected", "backpressure_waits",
+    ))
+):
     """Per-engine tallies (metrics land under ``serve.*`` too)."""
-
-    queries: int = 0
-    answered: int = 0
-    failed: int = 0
-    rejected: int = 0
-    backpressure_waits: int = 0
-
-    def bump(self, name: str, n: int = 1) -> None:
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"serve.{name}", n)
-
-    def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "answered": self.answered,
-            "failed": self.failed,
-            "rejected": self.rejected,
-            "backpressure_waits": self.backpressure_waits,
-        }
 
 
 class QueryEngine:

@@ -44,7 +44,7 @@ from typing import List, Optional
 
 from repro.exec.resilience import RunReport
 from repro.obs.log import get_logger
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, Tally
 from repro.util.rng import stream
 
 log = get_logger("serve.resilience")
@@ -58,7 +58,13 @@ BREAKER_STATES = ("closed", "open", "half_open")
 
 
 @dataclass
-class ServeReport:
+class ServeReport(
+    Tally("serve.resilience", (
+        "deadline_admission", "deadline_dispatch", "deadline_flush",
+        "breaker_opens", "breaker_half_opens", "breaker_closes",
+        "breaker_rejected", "batch_failures", "slow_predicts", "offloads",
+    ))
+):
     """Tally of every serving-tier recovery event (one per engine).
 
     Counter semantics:
@@ -83,38 +89,10 @@ class ServeReport:
     retries, and timeouts land there under the PR-3 taxonomy.
     """
 
-    deadline_admission: int = 0
-    deadline_dispatch: int = 0
-    deadline_flush: int = 0
-    breaker_opens: int = 0
-    breaker_half_opens: int = 0
-    breaker_closes: int = 0
-    breaker_rejected: int = 0
-    batch_failures: int = 0
-    slow_predicts: int = 0
-    offloads: int = 0
     #: model-tagged breaker transitions in event order: "ab12cd34ef56:open"
     transitions: List[str] = field(default_factory=list)
     #: worker-pool recovery tallies from offloaded runtime replay
     worker: RunReport = field(default_factory=RunReport)
-
-    COUNTER_FIELDS = (
-        "deadline_admission",
-        "deadline_dispatch",
-        "deadline_flush",
-        "breaker_opens",
-        "breaker_half_opens",
-        "breaker_closes",
-        "breaker_rejected",
-        "batch_failures",
-        "slow_predicts",
-        "offloads",
-    )
-
-    def bump(self, name: str, n: int = 1) -> None:
-        """Increment one tally, mirrored into ``serve.resilience.<name>``."""
-        setattr(self, name, getattr(self, name) + n)
-        REGISTRY.inc(f"serve.resilience.{name}", n)
 
     def transition(self, model: str, state: str) -> None:
         tag = f"{model[:12]}:{state}"
@@ -144,7 +122,7 @@ class ServeReport:
         )
 
     def to_dict(self) -> dict:
-        doc = {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+        doc = super().to_dict()
         doc["deadline_expired"] = self.deadline_expired
         doc["transitions"] = list(self.transitions)
         doc["worker"] = self.worker.to_dict()

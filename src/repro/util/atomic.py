@@ -1,14 +1,11 @@
 """Atomic filesystem commits: tmp + ``os.replace``, in one place.
 
 Every durable artifact the pipeline writes — run manifests, Prometheus
-exposition files, registry model directories, DAG node artifacts — must
-be crash-consistent: a reader (or a resumed run) may see the old
-content or the new content, never a torn half-write.  POSIX gives that
-guarantee for free through ``os.replace`` of a same-directory temporary,
-so the pattern is small — but it was copy-pasted three times before
-this module existed, and a fourth consumer (the pipeline DAG's artifact
-store) would have made four.  The helpers here are that one pattern,
-shared.
+exposition files, and every :class:`repro.store.Store` entry (signature
+cache, reuse profiles, registry models, DAG node artifacts) — must be
+crash-consistent: a reader (or a resumed run) may see the old content
+or the new content, never a torn half-write.  POSIX gives that
+guarantee through ``os.replace`` of a same-directory temporary.
 
 File commits (:func:`atomic_write_bytes` / :func:`atomic_write_text` /
 :func:`atomic_write_json`, or :func:`atomic_writer` when the payload

@@ -324,9 +324,31 @@ def test_profile_cache_disk_round_trip(tmp_path):
 def test_profile_cache_corrupt_entry_recomputed(tmp_path):
     cache = ProfileCache(tmp_path)
     cache.put("k" * 64, _small_profile())
-    cache._path("k" * 64).write_bytes(b"not an npz")
+    cache.store.path("k" * 64).write_bytes(b"not an npz")
     cache.clear()
     assert cache.get("k" * 64) is None  # absent/corrupt -> recompute
+
+
+@pytest.mark.parametrize("damage", ["half-truncated", "zip-magic-garbage"])
+def test_profile_cache_undecodable_npz_is_quarantined_miss(tmp_path, damage):
+    # a torn or garbage .npz raises zipfile.BadZipFile from np.load; the
+    # lookup must quarantine the entry and miss, never raise
+    key = "ab" * 32
+    path = tmp_path / key[:2] / f"{key}.npz"
+    path.parent.mkdir(parents=True)
+    if damage == "half-truncated":
+        with open(path, "wb") as fh:
+            np.savez(fh, totals=np.arange(1000))
+        data = path.read_bytes()[: path.stat().st_size // 2]
+    else:
+        data = b"PK\x03\x04garbage"
+    path.write_bytes(data)
+    cache = ProfileCache(tmp_path)
+    assert cache.get(key) is None
+    assert cache.stats.misses == 1 and cache.stats.disk_hits == 0
+    assert not path.exists()
+    kept = tmp_path / "quarantine" / f"{key}-0.npz"
+    assert kept.read_bytes() == data
 
 
 def test_profiles_for_extends_cached_moduli(tmp_path):

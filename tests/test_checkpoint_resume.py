@@ -235,7 +235,7 @@ class TestCollectionResume:
         key8 = cache1.key_for(
             small_jacobi, 8, bw_spec.hierarchy, _settings()
         )
-        (cache1.root / f"{key8}.pkl").unlink()
+        cache1.store.path(key8).unlink()
 
         cache2 = SignatureCache(tmp_path / "cache")
         with RunJournal(journal_path, resume=True) as journal:

@@ -26,12 +26,12 @@ from repro.obs.manifest import digest_file
 from repro.pipeline.dag import (
     STATE_FILE,
     SweepSpec,
-    _lock_path,
     build_dag,
     dag_status,
     run_dag,
 )
 from repro.pipeline.journal import RunJournal
+from repro.store import Store
 from repro.util.errors import DagError
 
 SPEC_KW = dict(
@@ -92,7 +92,7 @@ class TestLockContention:
         with RunJournal(root / STATE_FILE, resume=True) as store:
             store.amend(key, node=victim, rule="report-whatif",
                         status="failed", error="simulated")
-        lock = _lock_path(root, key)
+        lock = Store(root).lock_path(key)
         lock.parent.mkdir(parents=True, exist_ok=True)
         lock.write_text(f"{os.getpid()} winner\n")
 
@@ -126,7 +126,7 @@ class TestLockContention:
         art = Path(result.artifacts[victim])
         payload = art.read_bytes()
         art.unlink()
-        lock = _lock_path(root, key)
+        lock = Store(root).lock_path(key)
         lock.write_text("0 forever\n")
         try:
             with pytest.raises(DagError, match="timed out"):
@@ -146,7 +146,7 @@ class TestLockContention:
         key = _status_key(root, victim)
         art = Path(result.artifacts[victim])
         art.unlink()
-        lock = _lock_path(root, key)
+        lock = Store(root).lock_path(key)
         lock.write_text("99999 dead-holder\n")
         stale = time.time() - 3600.0
         os.utime(lock, (stale, stale))
@@ -220,5 +220,5 @@ class TestTwoProcesses:
         for node in build_dag(_spec()).topo():
             status = by_name[node.name]
             assert status.state == "clean"
-            art = root / "artifacts" / f"{status.key}{node.ext}"
+            art = Store(root, node.ext).path(status.key)
             assert digest_file(art) == res_a["digests"][node.name]

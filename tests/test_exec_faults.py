@@ -184,9 +184,10 @@ class TestApplyFault:
             specs=(FaultSpec(key="c", kind="corrupt", attempts=(2,)),)
         )
         with faults.injected(plan):
-            assert faults.check_corrupt("c") is None  # first store clean
-            assert faults.check_corrupt("c").kind == "corrupt"  # second hit
-            assert faults.check_corrupt("other") is None
+            check = faults.check_store_fault
+            assert check("corrupt", "c") is None  # first store clean
+            assert check("corrupt", "c").kind == "corrupt"  # second hit
+            assert check("corrupt", "other") is None
 
 
 def _probe(x):

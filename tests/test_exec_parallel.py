@@ -249,7 +249,7 @@ class TestSignatureCache:
         settings = self._settings()
         key = cache.key_for(small_jacobi, 4, bw_machine.hierarchy, settings)
         cache.put(key, {"fake": True})
-        (tmp_path / f"{key}.pkl").write_bytes(garbage)
+        cache.store.path(key).write_bytes(garbage)
         assert cache.get(key) is None
         assert cache.stats.misses == 1
         assert cache.stats.corrupt == 1
@@ -274,10 +274,10 @@ class TestQuarantine:
         self, tmp_path, small_jacobi, bw_machine
     ):
         cache, key = self._seeded(tmp_path, small_jacobi, bw_machine)
-        (tmp_path / f"{key}.pkl").write_bytes(b"\x00" * 32)
+        cache.store.path(key).write_bytes(b"\x00" * 32)
         assert cache.get(key) is None
-        assert not (tmp_path / f"{key}.pkl").exists()
-        quarantined = cache.quarantine_root / f"{key}.pkl"
+        assert not cache.store.path(key).exists()
+        quarantined = tmp_path / "quarantine" / f"{key}-0.pkl"
         assert quarantined.read_bytes() == b"\x00" * 32  # preserved intact
 
     def test_hand_truncated_entry_is_quarantined(
@@ -285,13 +285,13 @@ class TestQuarantine:
     ):
         # digest framing catches a torn write: chop a valid entry in half
         cache, key = self._seeded(tmp_path, small_jacobi, bw_machine)
-        path = tmp_path / f"{key}.pkl"
+        path = cache.store.path(key)
         blob = path.read_bytes()
         assert blob.startswith(ENTRY_MAGIC)
         path.write_bytes(blob[: len(blob) // 2])
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
-        assert (cache.quarantine_root / f"{key}.pkl").exists()
+        assert (tmp_path / "quarantine" / f"{key}-0.pkl").exists()
         # the slot is free again: a re-store round-trips
         cache.put(key, {"payload": list(range(100))})
         assert cache.get(key) == {"payload": list(range(100))}
@@ -302,12 +302,12 @@ class TestQuarantine:
         # schema v1 entries were raw pickles with no digest header; they
         # must load as misses (recollect), not as trusted data
         cache, key = self._seeded(tmp_path, small_jacobi, bw_machine)
-        (tmp_path / f"{key}.pkl").write_bytes(
+        cache.store.path(key).write_bytes(
             pickle.dumps({"stale": "v1 entry"})
         )
         assert cache.get(key) is None
         assert cache.stats.corrupt == 1
-        assert (cache.quarantine_root / f"{key}.pkl").exists()
+        assert (tmp_path / "quarantine" / f"{key}-0.pkl").exists()
 
     def test_corruption_mirrored_into_run_report(
         self, tmp_path, small_jacobi, bw_machine
@@ -315,7 +315,7 @@ class TestQuarantine:
         from repro.exec.resilience import RunReport
 
         cache, key = self._seeded(tmp_path, small_jacobi, bw_machine)
-        (tmp_path / f"{key}.pkl").write_bytes(b"junk")
+        cache.store.path(key).write_bytes(b"junk")
         report = RunReport()
         cache.bind_report(report)
         assert cache.get(key) is None

@@ -130,7 +130,7 @@ class TestMetricsMirroring:
         cache.put(key, {"payload": 1})  # store
         assert cache.get(key) == {"payload": 1}  # hit
         # corrupt the entry -> quarantine -> counted miss
-        path = cache._path(key)
+        path = cache.store.path(key)
         path.write_bytes(ENTRY_MAGIC + b"f" * 64 + b"\n" + b"garbage")
         assert cache.get(key) is None
         expected = cache.stats.to_dict()

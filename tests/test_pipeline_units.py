@@ -22,11 +22,15 @@ class TestTable1Row:
         rows = [
             Table1Row("uh3d", 8192, "Extrap.", 537.0, 565.0),
             Table1Row("uh3d", 8192, "Coll.", 536.0, 565.0),
+            # sub-50 ms prediction: must not collapse to "0.0"
+            Table1Row("jacobi", 16, "Extrap.", 0.029123, 0.028470),
         ]
         text = table1_report(rows)
         assert "uh3d" in text
         assert "Extrap." in text and "Coll." in text
         assert "537.0" in text
+        assert "0.029123" in text
+        assert "2.3%" in text
         assert "%" in text
 
     def test_report_empty(self):

@@ -274,8 +274,8 @@ class TestFaultInjectedTable1:
         key8 = cache.key_for(
             small_jacobi, 8, _bw_hierarchy(), cfg.collection
         )
-        cache.root.mkdir(parents=True, exist_ok=True)
-        (cache.root / f"{key8}.pkl").write_bytes(b"torn entry \x00\x01")
+        cache.store.path(key8).parent.mkdir(parents=True, exist_ok=True)
+        cache.store.path(key8).write_bytes(b"torn entry \x00\x01")
 
         plan = FaultPlan(
             specs=(
@@ -300,7 +300,7 @@ class TestFaultInjectedTable1:
         assert report.quarantined == [key8]
         assert cache.stats.corrupt == 1
         # the corrupt entry was preserved for post-mortem, not deleted
-        assert (cache.quarantine_root / f"{key8}.pkl").exists()
+        assert (cache.root / "quarantine" / f"{key8}-0.pkl").exists()
 
 
 def _bw_hierarchy():
