@@ -34,9 +34,11 @@ Examples::
         python -m repro serve --app uh3d --train 1024,2048,4096
 
 Robustness: ``--task-timeout``/``--max-retries`` switch collection to
-the fault-tolerant executor, ``--checkpoint-dir``/``--resume``
-checkpoint and resume multi-unit runs, and any recovery events are
-summarized after the results.  Invalid inputs (unknown app or machine,
+the fault-tolerant executor, and any recovery events are summarized
+after the results.  Each collected core count is stored in the
+signature cache as it lands, so re-running a killed or failed
+``collect``/``table1`` with the same ``--cache-dir`` collects only the
+unfinished counts.  Invalid inputs (unknown app or machine,
 malformed count lists, unwritable output paths) exit with status 2 and
 a one-line message — never a traceback.
 
@@ -81,7 +83,6 @@ from repro.obs.metrics import REGISTRY
 from repro.pipeline.collect import CollectionSettings, collect_signatures
 from repro.pipeline.dag import SweepSpec, dag_status, run_dag
 from repro.pipeline.experiment import Table1Config, run_table1
-from repro.pipeline.journal import RunJournal, default_journal_path
 from repro.pipeline.predict import measure_runtime, predict_runtime
 from repro.pipeline.report import table1_report
 from repro.trace.tracefile import TraceFile
@@ -211,16 +212,6 @@ def _add_exec_flags(p: argparse.ArgumentParser) -> None:
              "transient error (enables the fault-tolerant executor; "
              "default 2 when --task-timeout is given)",
     )
-    p.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="journal completed collection units here so an interrupted "
-             "run can be resumed (default with --resume: <cache>/journal)",
-    )
-    p.add_argument(
-        "--resume", action="store_true",
-        help="skip units journaled by a previous run of this command "
-             "(requires the signature cache that run wrote)",
-    )
 
 
 def _build_cache(args: argparse.Namespace) -> Optional[SignatureCache]:
@@ -258,33 +249,6 @@ def _build_resilience(args: argparse.Namespace) -> Optional[ResilienceConfig]:
     if args.max_retries is not None:
         kwargs["max_retries"] = args.max_retries
     return ResilienceConfig(**kwargs)
-
-
-def _build_journal(
-    args: argparse.Namespace,
-    cache: Optional[SignatureCache],
-    run_name: str,
-) -> Optional[RunJournal]:
-    checkpoint_dir = args.checkpoint_dir
-    if checkpoint_dir is None:
-        if not args.resume:
-            return None
-        if cache is None:
-            raise UsageError(
-                "--resume needs a checkpoint journal: pass --checkpoint-dir "
-                "(and do not combine --resume with --no-cache)"
-            )
-        checkpoint_dir = cache.root / "journal"
-    else:
-        _check_writable("--checkpoint-dir", str(checkpoint_dir), is_dir=True)
-    if args.resume and cache is None:
-        raise UsageError(
-            "--resume replays completed units from the signature cache; "
-            "it cannot be combined with --no-cache"
-        )
-    return RunJournal(
-        default_journal_path(checkpoint_dir, run_name), resume=args.resume
-    )
 
 
 def _add_guard_flags(
@@ -443,7 +407,6 @@ def _write_manifest(
     machine: Optional[str] = None,
     cache: Optional[SignatureCache] = None,
     report: Optional[RunReport] = None,
-    journal: Optional[RunJournal] = None,
     guard: Optional[DegradationReport] = None,
     serve=None,
     dag=None,
@@ -466,7 +429,6 @@ def _write_manifest(
         machine=machine,
         cache=cache,
         report=report,
-        journal=journal,
         guard=guard,
         tracer=obs_trace.current() if obs_trace.is_enabled() else None,
         profile_cache=profile_cache,
@@ -482,11 +444,7 @@ def _log_cache_stats(cache: Optional[SignatureCache]) -> None:
         log.info("signature cache [%s]: %s", cache.root, cache.stats)
 
 
-def _log_run_health(
-    report: Optional[RunReport], journal: Optional[RunJournal]
-) -> None:
-    if journal is not None:
-        log.info("checkpoint journal [%s]: %s", journal.path, journal.stats)
+def _log_run_health(report: Optional[RunReport]) -> None:
     if report is not None and not report.clean:
         log.warning("resilience: %s", report.summary())
         for event in report.events:
@@ -513,9 +471,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
     _check_writable("--out", args.out, is_dir=True)
     guard = _build_guard(args)
     cache = _build_cache(args)
-    journal = _build_journal(
-        args, cache, f"collect-{args.app}-{args.machine}-{args.ranks}"
-    )
     report = RunReport()
     degradation = _new_degradation(guard)
     settings = CollectionSettings(
@@ -526,14 +481,14 @@ def cmd_collect(args: argparse.Namespace) -> int:
     try:
         signature = collect_signatures(
             app, [args.ranks], machine.hierarchy, settings,
-            cache=cache, journal=journal, report=report,
+            cache=cache, report=report,
         )[0]
         check_signature(signature, config=guard, report=degradation)
     finally:
         _write_degradation(args, degradation)
     signature.save_dir(args.out)
     _log_cache_stats(cache)
-    _log_run_health(report, journal)
+    _log_run_health(report)
     _log_guard(degradation)
     outputs = {
         p.name: p
@@ -548,7 +503,6 @@ def cmd_collect(args: argparse.Namespace) -> int:
         machine=args.machine,
         cache=cache,
         report=report,
-        journal=journal,
         guard=degradation,
         path=getattr(args, "manifest_out", None)
         or str(Path(args.out) / obs_manifest.MANIFEST_NAME),
@@ -561,23 +515,13 @@ def cmd_collect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _out_path(template: str, target: int, n_targets: int) -> str:
-    """Resolve --out for one target of a sweep.
-
-    With multiple targets the template must contain a ``{target}``
-    placeholder so each synthesized trace gets its own file.
-    """
-    if "{target}" in template:
-        return template.replace("{target}", str(target))
-    if n_targets > 1:
-        raise SystemExit(
+def cmd_extrapolate(args: argparse.Namespace) -> int:
+    # each synthesized trace of a sweep needs its own file
+    if len(args.target) > 1 and "{target}" not in args.out:
+        raise UsageError(
             "--out must contain a {target} placeholder when --target "
             "lists multiple core counts"
         )
-    return template
-
-
-def cmd_extrapolate(args: argparse.Namespace) -> int:
     _check_writable("--out", args.out, is_dir=False)
     guard = _build_guard(args)
     traces = [_load_trace(p) for p in args.trace]
@@ -594,7 +538,7 @@ def cmd_extrapolate(args: argparse.Namespace) -> int:
     train = [t.n_ranks for t in sorted(traces, key=lambda t: t.n_ranks)]
     outputs = {}
     for result in sweep.results:
-        out = _out_path(args.out, result.target_n_ranks, len(sweep.targets))
+        out = args.out.replace("{target}", str(result.target_n_ranks))
         result.trace.save_npz(out)
         outputs[f"trace_{result.target_n_ranks}"] = Path(out)
         if guard is not None:
@@ -702,11 +646,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
     _check_machine(args.machine)
     guard = _build_guard(args)
     cache = _build_cache(args)
-    train = ",".join(str(c) for c in args.train)
-    journal = _build_journal(
-        args, cache,
-        f"table1-{args.app}-{args.machine}-{train}-{args.target}",
-    )
     config = Table1Config(
         machine=args.machine,
         collection=CollectionSettings(
@@ -715,7 +654,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
             resilience=_build_resilience(args),
         ),
         cache=cache,
-        journal=journal,
         guard=guard,
     )
     degradation = _new_degradation(guard)
@@ -735,7 +673,7 @@ def cmd_table1(args: argparse.Namespace) -> int:
     if not result.degradation.clean:
         print(f"guard: {result.degradation.summary()}")
     _log_cache_stats(cache)
-    _log_run_health(result.run_report, journal)
+    _log_run_health(result.run_report)
     _log_guard(result.degradation)
     _write_manifest(
         args,
@@ -745,7 +683,6 @@ def cmd_table1(args: argparse.Namespace) -> int:
         machine=args.machine,
         cache=cache,
         report=result.run_report,
-        journal=journal,
         guard=result.degradation,
     )
     return 0
@@ -781,8 +718,6 @@ def _build_sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def cmd_dag_run(args: argparse.Namespace) -> int:
-    if args.fresh and args.resume:
-        raise UsageError("--fresh and --resume are mutually exclusive")
     spec = _build_sweep_spec(args)
     root = _dag_root(args)
     report = RunReport()
@@ -809,7 +744,7 @@ def cmd_dag_run(args: argparse.Namespace) -> int:
             outputs[artifact] = text.encode("utf-8")
     print(rendered, end="")
     log.info("dag [%s]: %s", root, result.stats)
-    _log_run_health(report, None)
+    _log_run_health(report)
     for name, message in sorted(result.errors.items()):
         log.error("dag node failed: %s: %s", name, message)
     for name, status in sorted(result.statuses.items()):
@@ -1551,7 +1486,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "convolve, predict, measure, report) as a "
                     "content-addressed DAG: every node is keyed by a "
                     "digest over its inputs, config, and code version; "
-                    "completions are journaled durably; re-running "
+                    "completions are recorded durably; re-running "
                     "recomputes only dirty nodes, bit-identically.",
     )
     dag_sub = p.add_subparsers(dest="dag_command", required=True)
@@ -1598,10 +1533,6 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("--fresh", action="store_true",
                     help="ignore all prior node state and recompute "
                          "everything (truncates the state store)")
-    dp.add_argument("--resume", action="store_true",
-                    help="reuse committed nodes from interrupted or "
-                         "previous runs (the default; spelled out for "
-                         "symmetry with the other commands)")
     dp.add_argument("--workers", type=int, default=None, metavar="N",
                     help="process-pool size for node fan-out "
                          "(default: one per CPU; 0 = serial)")

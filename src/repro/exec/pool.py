@@ -8,7 +8,8 @@ bit-for-bit identical to serial by construction, and this module only
 supplies the fan-out mechanics.
 
 ``run_tasks`` is intentionally tiny: a list of argument tuples in, a
-list of results out, in submission order.  ``workers=0`` (or ``1``)
+list of results out, in submission order (plus an optional
+``on_result`` hook fired as each result lands).  ``workers=0`` (or ``1``)
 runs the tasks inline in the calling process — the escape hatch for
 debugging and for environments where ``fork`` is unavailable or
 unwanted.  Worker processes are flagged via an environment variable so
@@ -19,7 +20,7 @@ spawning a nested pool.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from multiprocessing import get_context
 from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
@@ -80,6 +81,7 @@ def run_tasks(
     *,
     workers: Optional[int] = None,
     keys: Optional[Sequence[str]] = None,
+    on_result: Optional[Callable[[int, T], None]] = None,
 ) -> List[T]:
     """Run ``fn(*task)`` for every task; results in task order.
 
@@ -92,11 +94,25 @@ def run_tasks(
     When span tracing is enabled, pooled calls are routed through
     :func:`repro.obs.trace.call_shipped` so each worker's completed
     spans travel back with its result and land in the parent's tracer.
+
+    ``on_result`` is called in the parent as ``on_result(index, result)``
+    the moment each result lands (completion order when pooled), the
+    same checkpoint hook :func:`repro.exec.resilience.run_tasks_resilient`
+    offers: results finished before a later task fails are not lost.
     """
     task_list = [tuple(t) for t in tasks]
+    results: List[Optional[T]] = [None] * len(task_list)
+
+    def land(i: int, value: T) -> None:
+        results[i] = value
+        if on_result is not None:
+            on_result(i, value)
+
     pool_size = resolve_workers(workers, len(task_list))
     if pool_size == 0:
-        return [fn(*t) for t in task_list]
+        for i, t in enumerate(task_list):
+            land(i, fn(*t))
+        return results  # type: ignore[return-value]
     key_list = (
         [str(k) for k in keys]
         if keys is not None
@@ -110,13 +126,14 @@ def run_tasks(
     )
     try:
         if shipping:
-            futures = [
-                pool.submit(obs_trace.call_shipped, fn, key, t)
-                for key, t in zip(key_list, task_list)
-            ]
+            futures = {
+                pool.submit(obs_trace.call_shipped, fn, key, t): i
+                for i, (key, t) in enumerate(zip(key_list, task_list))
+            }
         else:
-            futures = [pool.submit(fn, *t) for t in task_list]
-        results = [obs_trace.unwrap(f.result()) for f in futures]
+            futures = {pool.submit(fn, *t): i for i, t in enumerate(task_list)}
+        for future in as_completed(futures):
+            land(futures[future], obs_trace.unwrap(future.result()))
     except BaseException:
         # fail fast: a task error or Ctrl-C must not wait out every
         # submitted task — drop the queue and return immediately
@@ -124,4 +141,4 @@ def run_tasks(
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown(wait=True)
-    return results
+    return results  # type: ignore[return-value]

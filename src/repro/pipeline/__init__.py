@@ -4,7 +4,9 @@ Wires the substrates together into the paper's workflows:
 
 - :mod:`repro.pipeline.collect` — run + profile an app at a core count,
   trace the slowest task (or all / selected ranks) against a target
-  hierarchy, producing an application signature.
+  hierarchy, producing an application signature.  Each count is cached
+  as it lands, so the signature cache doubles as the checkpoint: a
+  re-run after a kill or failure collects only the unfinished counts.
 - :mod:`repro.pipeline.predict` — PMaC prediction: signature x machine
   profile -> replayed runtime; and the ground-truth "actually run it"
   path.
@@ -12,8 +14,8 @@ Wires the substrates together into the paper's workflows:
   protocol: train on small counts, extrapolate, predict, compare with
   collected-trace prediction and measured runtime).
 - :mod:`repro.pipeline.report` — table rendering of experiment results.
-- :mod:`repro.pipeline.journal` — checkpoint journal making multi-unit
-  runs resumable after an interruption (``--resume``).
+- :mod:`repro.pipeline.journal` — the DAG's append-only, torn-tail
+  tolerant node-state store (``state.jsonl``).
 - :mod:`repro.pipeline.dag` — the workflows above as a crash-consistent
   content-addressed DAG with incremental recomputation (``repro dag``).
 """
@@ -35,7 +37,7 @@ from repro.pipeline.dag import (
     node_key,
     run_dag,
 )
-from repro.pipeline.journal import RunJournal, make_journal, unit_key
+from repro.pipeline.journal import RunJournal
 from repro.pipeline.predict import (
     PredictionResult,
     measure_runtime,
@@ -45,11 +47,8 @@ from repro.pipeline.experiment import (
     Table1Config,
     Table1Row,
     Table1Result,
-    WhatIfResult,
-    WhatIfRow,
     collect_training_traces,
     run_table1,
-    run_whatif_sweep,
 )
 from repro.pipeline.report import table1_report
 
@@ -68,8 +67,6 @@ __all__ = [
     "collect_signature",
     "collect_signatures",
     "RunJournal",
-    "make_journal",
-    "unit_key",
     "PredictionResult",
     "predict_runtime",
     "measure_runtime",
@@ -77,9 +74,6 @@ __all__ = [
     "Table1Row",
     "Table1Result",
     "run_table1",
-    "WhatIfRow",
-    "WhatIfResult",
     "collect_training_traces",
-    "run_whatif_sweep",
     "table1_report",
 ]

@@ -15,16 +15,18 @@ short-circuits recollection entirely.
 Fault tolerance is opt-in per call site: when
 ``CollectionSettings.resilience`` is set, the fan-out goes through
 :func:`repro.exec.resilience.run_tasks_resilient` (timeouts, retries,
-pool restart, serial fallback), and a :class:`RunJournal` passed to
-:func:`collect_signatures` checkpoints each completed ``(app, count)``
-unit so an interrupted sweep resumes where it stopped.  Neither can
-change results — tasks are pure functions of their arguments.
+pool restart, serial fallback).  On either executor
+:func:`collect_signatures` stores each count's signature in the cache
+the moment it lands, so the cache is the checkpoint: a killed or failed
+sweep re-run against the same cache collects only the unfinished
+counts.  Neither can change results — tasks are pure functions of
+their arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.apps.base import AppModel
 from repro.cache.hierarchy import CacheHierarchy
@@ -35,7 +37,6 @@ from repro.exec.sigcache import SignatureCache
 from repro.instrument.collector import CollectorConfig, collect_trace
 from repro.obs.log import get_logger
 from repro.obs.trace import span
-from repro.pipeline.journal import RunJournal, unit_key
 from repro.simmpi.profiler import profile_job
 from repro.simmpi.runtime import Job
 from repro.trace.signature import ApplicationSignature
@@ -120,11 +121,9 @@ def _fan_out(
             stage="collect",
         )
         return results
-    results = run_tasks(fn, tasks, workers=settings.workers, keys=keys)
-    if on_result is not None:
-        for i, value in enumerate(results):
-            on_result(i, value)
-    return results
+    return run_tasks(
+        fn, tasks, workers=settings.workers, keys=keys, on_result=on_result
+    )
 
 
 def collect_signature(
@@ -237,71 +236,59 @@ def collect_signatures(
     settings: Optional[CollectionSettings] = None,
     *,
     cache: Optional[SignatureCache] = None,
-    journal: Optional[RunJournal] = None,
     report: Optional[RunReport] = None,
 ) -> List[ApplicationSignature]:
     """Collect signatures for several core counts, fanned out as a batch.
 
     Cache lookups happen in the parent so warm entries never reach the
     pool; only the misses are (re)collected — concurrently when
-    ``settings.workers`` allows — then stored.  Results are returned in
-    ``counts`` order.
+    ``settings.workers`` allows.  Each distinct count is collected
+    once; results are returned in ``counts`` order (a repeated count
+    yields the same signature object at each of its positions).
 
-    With a ``journal``, each ``(app, count)`` unit is committed the
-    moment its signature is cached (in completion order, not batch
-    order), so a killed run resumes from the last completed unit; a
-    journaled unit is only trusted when its cache entry is still
-    readable, making resume safe against cleared or corrupted caches.
+    Each collected signature is cached the moment it lands (completion
+    order, not batch order), so a run killed or failed mid-batch keeps
+    every finished count and a re-run collects only the rest.
     """
     settings = settings or CollectionSettings()
     if cache is not None and report is not None:
         cache.bind_report(report)
-    results: List[Optional[ApplicationSignature]] = [None] * len(counts)
+    distinct = list(dict.fromkeys(counts))
+    by_count: Dict[int, ApplicationSignature] = {}
     missing: List[int] = []
-    for i, count in enumerate(counts):
-        unit = unit_key("collect", app.name, hierarchy.name, count)
+    for count in distinct:
         cached = None
         if cache is not None:
             cached = cache.get(cache.key_for(app, count, hierarchy, settings))
         if cached is not None:
-            results[i] = cached
-            if journal is not None:
-                # count the resume skip, and (re)commit cache-only hits
-                # so the journal converges to the full unit set
-                if not journal.skip(unit):
-                    journal.mark(unit)
-            continue
-        missing.append(i)
+            by_count[count] = cached
+        else:
+            missing.append(count)
 
     def _store(j: int, sig: ApplicationSignature) -> None:
-        i = missing[j]
-        results[i] = sig
+        by_count[missing[j]] = sig
         if cache is not None:
-            cache.put(
-                cache.key_for(app, counts[i], hierarchy, settings), sig
-            )
-        if journal is not None:
-            journal.mark(unit_key("collect", app.name, hierarchy.name, counts[i]))
+            cache.put(cache.key_for(app, missing[j], hierarchy, settings), sig)
 
     log.info(
         "collecting %s: %d/%d counts cached, %d to collect",
         app.name,
-        len(counts) - len(missing),
-        len(counts),
+        len(distinct) - len(missing),
+        len(distinct),
         len(missing),
     )
     with span(
         "collect.signatures",
         app=app.name,
-        counts=len(counts),
+        counts=len(distinct),
         missing=len(missing),
     ):
         _fan_out(
             _collect_signature_task,
-            [(app, counts[i], hierarchy, settings) for i in missing],
-            [task_key(app.name, counts[i]) for i in missing],
+            [(app, count, hierarchy, settings) for count in missing],
+            [task_key(app.name, count) for count in missing],
             settings,
             report,
             on_result=_store,
         )
-    return results
+    return [by_count[count] for count in counts]

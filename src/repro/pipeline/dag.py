@@ -14,9 +14,10 @@ model:
   probe budget re-keys everything.  Parent digests give early cutoff: a
   re-collected trace that hashes identically leaves the downstream
   cone clean.
-- **Durable node state.**  Node completions are appended to a
+- **Durable node state.**  Node completions are appended to the
   :class:`~repro.pipeline.journal.RunJournal` state store
-  (``state.jsonl``) with flush+fsync per record; a torn tail from a
+  (``state.jsonl``, one ``{"unit": <key>, "meta": {...}}`` line per
+  commit) with flush+fsync per record; a torn tail from a
   SIGKILL mid-append is skipped on recovery, so the store is readable
   after a kill at *any* instant and a committed node is never lost.
 - **Atomic artifacts.**  Node outputs live in a :class:`repro.store.Store`

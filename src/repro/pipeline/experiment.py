@@ -10,11 +10,9 @@
 5. measure the "real" runtime via the ground-truth simulator,
 6. report predicted runtimes and % errors for both trace types.
 
-``run_whatif_sweep`` is the design-space companion (§V's "what if we ran
-at N cores?" question asked many times over): collect the training
-series once, fit once, synthesize a trace per target core count via the
-multi-target sweep API, and predict the runtime of each — the
-fit-once/evaluate-many path the Tables II/III benches exercise.
+The design-space companion (§V's "what if we ran at N cores?" asked
+many times over) is ``repro dag run`` (its ``report:whatif`` node) or
+``repro extrapolate --target a,b,c`` followed by ``repro predict``.
 """
 
 from __future__ import annotations
@@ -25,21 +23,16 @@ from typing import List, Optional, Sequence
 from repro.apps.base import AppModel
 from repro.core.canonical import CanonicalForm, PAPER_FORMS
 from repro.core.errors import abs_rel_error
-from repro.core.extrapolate import ExtrapolationResult, ExtrapolationSweep
+from repro.core.extrapolate import ExtrapolationResult
 from repro.exec.resilience import RunReport
 from repro.exec.sigcache import SignatureCache
 from repro.guard.config import GuardConfig
 from repro.guard.degrade import DegradationReport
-from repro.guard.engine import (
-    check_prediction_inputs,
-    guarded_extrapolate,
-    guarded_extrapolate_many,
-)
+from repro.guard.engine import check_prediction_inputs, guarded_extrapolate
 from repro.machine.systems import get_machine, get_spec
 from repro.obs.log import get_logger
 from repro.obs.trace import span
 from repro.pipeline.collect import CollectionSettings, collect_signatures
-from repro.pipeline.journal import RunJournal
 from repro.pipeline.predict import measure_runtime, predict_runtime
 from repro.psins.ground_truth import GroundTruthConfig
 from repro.trace.tracefile import TraceFile
@@ -61,9 +54,6 @@ class Table1Config:
     cache: Optional[SignatureCache] = None
     #: fitting engine: "batched" (vectorized) or "reference" (scalar)
     engine: str = "batched"
-    #: optional checkpoint journal: completed collection units are
-    #: committed as they land, so an interrupted run can resume
-    journal: Optional[RunJournal] = None
     #: stage-boundary guardrails (None = off, the library default; the
     #: CLI defaults to policy "degrade")
     guard: Optional[GuardConfig] = None
@@ -134,8 +124,8 @@ def run_table1(
 
     # 1+3. signatures at every core count — the three training runs and
     # the target run are independent, so they are collected as one batch
-    # (concurrently when the pool allows, memoized when a cache is set,
-    # checkpointed per unit when a journal is set)
+    # (concurrently when the pool allows; with a cache set, each count
+    # is stored as it lands, so a re-run after a failure resumes)
     report = RunReport()
     counts = sorted(train_counts) + [target_count]
     signatures = collect_signatures(
@@ -144,7 +134,6 @@ def run_table1(
         machine.hierarchy,
         config.collection,
         cache=config.cache,
-        journal=config.journal,
         report=report,
     )
     training: List[TraceFile] = [
@@ -245,81 +234,6 @@ def collect_training_traces(
         machine.hierarchy,
         config.collection,
         cache=config.cache,
-        journal=config.journal,
         report=report,
     )
     return [sig.slowest_trace() for sig in signatures]
-
-
-@dataclass
-class WhatIfRow:
-    """One target core count of a what-if sweep."""
-
-    app: str
-    core_count: int
-    predicted_runtime_s: float
-
-
-@dataclass
-class WhatIfResult:
-    """Predicted runtimes across a sweep of target core counts."""
-
-    rows: List[WhatIfRow]
-    sweep: ExtrapolationSweep
-    training_traces: List[TraceFile]
-    degradation: DegradationReport = field(default_factory=DegradationReport)
-
-
-def run_whatif_sweep(
-    app: AppModel,
-    train_counts: Sequence[int],
-    target_counts: Sequence[int],
-    config: Optional[Table1Config] = None,
-    training: Optional[Sequence[TraceFile]] = None,
-    report: Optional[RunReport] = None,
-) -> WhatIfResult:
-    """Predict runtimes at many target core counts from one training fit.
-
-    Collects the training series (unless ``training`` supplies it),
-    fits every feature element once, synthesizes a trace per target via
-    :func:`~repro.core.extrapolate.extrapolate_trace_many`, and predicts
-    each target's runtime on the configured machine.
-    """
-    config = config or Table1Config()
-    log.info(
-        "whatif sweep: app=%s train=%s targets=%d machine=%s",
-        app.name,
-        list(train_counts),
-        len(target_counts),
-        config.machine,
-    )
-    machine = get_machine(
-        config.machine, accesses_per_probe=config.accesses_per_probe
-    )
-    if training is None:
-        training = collect_training_traces(app, train_counts, config, report=report)
-    sweep, degradation = guarded_extrapolate_many(
-        training,
-        target_counts,
-        forms=config.forms,
-        engine=config.engine,
-        config=config.guard,
-    )
-    rows = []
-    for result in sweep.results:
-        prediction = predict_runtime(
-            app, result.target_n_ranks, result.trace, machine
-        )
-        rows.append(
-            WhatIfRow(
-                app=app.name,
-                core_count=result.target_n_ranks,
-                predicted_runtime_s=prediction.runtime_s,
-            )
-        )
-    return WhatIfResult(
-        rows=rows,
-        sweep=sweep,
-        training_traces=list(training),
-        degradation=degradation,
-    )

@@ -129,13 +129,14 @@ class TestCli:
             assert loaded.extrapolated and loaded.n_ranks == target
             assert f"sweep-{target}.npz" in out
 
-    def test_extrapolate_multi_target_needs_placeholder(self, tmp_path):
+    def test_extrapolate_multi_target_needs_placeholder(self, tmp_path, capsys):
         paths = self._save_training(tmp_path)
-        with pytest.raises(SystemExit):
-            main(
-                ["extrapolate", "--trace", *paths, "--target", "64,128",
-                 "--out", str(tmp_path / "one.npz")]
-            )
+        rc = main(
+            ["extrapolate", "--trace", *paths, "--target", "64,128",
+             "--out", str(tmp_path / "one.npz")]
+        )
+        # a usage error, caught up front: status 2, the usual one-liner
+        assert rc == 2 and capsys.readouterr().err.startswith("repro: error:")
 
     def test_extrapolate_engine_flag(self, tmp_path):
         paths = self._save_training(tmp_path)

@@ -152,8 +152,6 @@ class TestDagStatus:
 
 class TestDagUsageErrors:
     @pytest.mark.parametrize("argv", [
-        ["dag", "run", "--app", "jacobi", "--train", "4,8",
-         "--targets", "16", "--fresh", "--resume"],
         ["dag", "run", "--app", "jacobi", "--train", "4",
          "--targets", "16"],
         ["dag", "run", "--app", "no-such-app", "--train", "4,8",

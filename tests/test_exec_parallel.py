@@ -64,6 +64,25 @@ class TestRunTasks:
         with pytest.raises(ValueError, match="task 3 failed"):
             run_tasks(_fail_on, [(i, 3) for i in range(5)], workers=0)
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_on_result_fires_per_task_and_survives_a_failure(self, workers):
+        landed = {}
+        results = run_tasks(
+            _square, [(i,) for i in range(6)], workers=workers,
+            on_result=landed.__setitem__,
+        )
+        assert results == [i * i for i in range(6)]
+        assert landed == dict(enumerate(results))
+        # results that landed before a failing task are not lost
+        landed.clear()
+        with pytest.raises(ValueError, match="task 3 failed"):
+            run_tasks(
+                _fail_on, [(i, 3) for i in range(5)], workers=workers,
+                on_result=landed.__setitem__,
+            )
+        if workers == 0:
+            assert landed == {0: 0, 1: 1, 2: 2}
+
     def test_workers_run_in_other_processes(self):
         results = run_tasks(_observe_pool_state, [()] * 4, workers=2)
         pids = {pid for pid, _, _ in results}

@@ -1,8 +1,8 @@
 """Integration tests: observability threaded through the pipeline.
 
 Worker->parent span propagation under a real process pool, metrics
-mirroring from the legacy tallies (``CacheStats``/``RunReport``/
-``JournalStats``), run-manifest digest stability, and the determinism
+mirroring from the legacy tallies (``CacheStats``/``RunReport``),
+run-manifest digest stability, and the determinism
 contract: enabling observability changes no numeric output.
 """
 
@@ -26,7 +26,6 @@ from repro.obs import manifest as obs_manifest
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import REGISTRY
 from repro.pipeline.collect import CollectionSettings, collect_signature
-from repro.pipeline.journal import RunJournal
 from tests.conftest import FAST_COLLECTOR
 from tests.schema_utils import assert_valid
 
@@ -159,18 +158,6 @@ class TestMetricsMirroring:
         # the text summary and the dict view agree on every counter
         summary = report.summary()
         assert "retries=2" in summary and "timeouts=1" in summary
-
-    def test_journal_stats_equal_registry(self, tmp_path):
-        with RunJournal(tmp_path / "j.jsonl") as journal:
-            journal.mark("unit:a")
-            journal.mark("unit:b")
-        with RunJournal(tmp_path / "j.jsonl", resume=True) as journal:
-            assert journal.skip("unit:a")
-            journal.mark("unit:c")
-            doc = journal.stats.to_dict()
-        assert doc == {"resumed": 1, "marked": 1, "amended": 0}
-        assert REGISTRY.counters["journal.marked"] == 3
-        assert REGISTRY.counters["journal.resumed"] == 1
 
 
 class TestManifest:

@@ -238,6 +238,37 @@ class TestColdWarmIncremental:
         assert prediction is not None
 
 
+class TestOrchestratorAgreement:
+    def test_run_table1_equals_report_table1(self, cold_run):
+        """``run_table1`` and the DAG's ``report:table1`` orchestrate one
+        computation: with the same knobs (probe budget, sampling, serial,
+        guard off) the Table I numbers must agree exactly."""
+        from repro.apps.registry import get_app
+        from repro.pipeline.collect import CollectionSettings
+        from repro.pipeline.experiment import Table1Config, run_table1
+
+        _root, dag = cold_run
+        spec = _spec()
+        config = Table1Config(
+            machine=spec.machine,
+            collection=CollectionSettings(
+                collector=spec.collector(), workers=0
+            ),
+            accesses_per_probe=spec.accesses_per_probe,
+            guard=None,
+        )
+        result = run_table1(
+            get_app(spec.app), spec.train_counts, spec.targets[0], config
+        )
+        doc = dag.artifact_json("report:table1")
+        assert result.measured_runtime_s == doc["measured_runtime_s"]
+        assert {
+            r.trace_type: r.predicted_runtime_s for r in result.rows
+        } == {
+            r["trace_type"]: r["predicted_runtime_s"] for r in doc["rows"]
+        }
+
+
 class TestFaultIsolation:
     def test_failed_node_poisons_only_its_cone(self, tmp_path):
         plan = FaultPlan(specs=(

@@ -1,4 +1,4 @@
-"""Contract suite: the one content-addressed store and the ten tallies.
+"""Contract suite: the one content-addressed store and the nine tallies.
 
 Every store consumer — the signature cache, the reuse-profile cache,
 the model registry, and the pipeline DAG's artifacts — is driven
@@ -12,7 +12,7 @@ all four sit on :class:`repro.store.Store`:
 - across racing processes exactly one holder takes a key's lock;
 - a stale lock is taken over.
 
-The second half pins the tally contract: for each of the ten
+The second half pins the tally contract: for each of the nine
 :func:`repro.obs.metrics.Tally` classes, ``to_dict()`` equals the
 registry deltas, which equal the exported manifest (or serve summary)
 section, under the exact metric names the classes always used.
@@ -337,7 +337,6 @@ def _tally_cases():
     from repro.exec.sigcache import CacheStats
     from repro.guard.degrade import DegradationReport
     from repro.pipeline.dag import DagStats
-    from repro.pipeline.journal import JournalStats
     from repro.serve.resilience import ServeReport
 
     def manifest(kwarg, key):
@@ -348,8 +347,6 @@ def _tally_cases():
         ("CacheStats", CacheStats, "cache", manifest("cache", "cache")),
         ("RunReport", RunReport, "resilience",
          manifest("report", "resilience")),
-        ("JournalStats", JournalStats, "journal",
-         manifest("journal", "journal")),
         ("ProfileCacheStats", ProfileCacheStats, "cachesim.reuse",
          manifest("profile_cache", "profile_cache")),
         ("RegistryStats", "registry", "serve.registry", None),
@@ -369,7 +366,6 @@ EXPECTED_FIELDS = {
         "retries", "transient_errors", "timeouts", "crashes",
         "pool_restarts", "serial_fallbacks", "cache_corruptions",
     ),
-    "JournalStats": ("resumed", "marked", "amended"),
     "ProfileCacheStats": (
         "mem_hits", "disk_hits", "misses", "stores", "evictions",
     ),
