@@ -11,9 +11,11 @@ Three implementations are provided, two of them behind the
 dispatches on (``--cache-engine``):
 
 - :class:`repro.cache.simulator.HierarchySimulator` — the ``exact``
-  engine's replay core.  Exact LRU semantics, vectorized over cache
-  sets per the hpc-parallel guides (the Python-level loop is over
-  *rounds* of set-disjoint accesses, not over addresses).
+  engine's replay core.  Exact LRU semantics, replayed by the compiled
+  kernel of :mod:`repro.cache.kernel`, or — without a working C
+  compiler — by a numpy engine vectorized over cache sets (its
+  Python-level loop is over *rounds* of set-disjoint accesses, not
+  over addresses).
 - :mod:`repro.cache.reuse` — the ``reuse`` engine's analytical core:
   one-pass reuse-distance profiles evaluated per geometry in closed
   form, no replay (DESIGN.md §7.8).

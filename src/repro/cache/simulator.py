@@ -1,7 +1,15 @@
-"""Vectorized exact-LRU multi-level cache simulation.
+"""Exact-LRU multi-level cache simulation.
 
-The engine processes address chunks (tens of thousands of accesses) with
-numpy-level parallelism while preserving exact LRU semantics:
+Two backends replay the same semantics bit for bit.  Where a C compiler
+works, :class:`HierarchySimulator` hands every chunk to the compiled
+kernel of :mod:`repro.cache.kernel`, one call per level in program
+order, with the misses forwarded outward.  The numpy engine below is the
+fallback, used only when no compiler is on ``PATH`` or the build or load
+fails; a simulator resolves its backend once, when it is constructed.
+
+The numpy engine processes address chunks (tens of thousands of
+accesses) with numpy-level parallelism while preserving exact LRU
+semantics:
 
 1.  Accesses are grouped by cache set (stable sort), which preserves
     per-set access order — the only order LRU cares about.
@@ -19,7 +27,8 @@ smaller than the chunk itself.  :mod:`repro.cache.reference` implements
 the same semantics one access at a time; the test suite checks the two
 agree bit-for-bit on every pattern class.
 
-Fast paths (all bit-for-bit equivalent to the generic engine):
+Fast paths of the numpy engine (all bit-for-bit equivalent to its
+generic path):
 
 - Power-of-two set counts index sets with a bitmask instead of ``%``.
 - Direct-mapped levels (associativity 1) skip the round replay: a hit is
@@ -46,6 +55,7 @@ import numpy as np
 
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.kernel import LruKernel, lru_kernel
 from repro.obs.metrics import REGISTRY
 
 _EMPTY_TAG = np.int64(-1)
@@ -113,11 +123,26 @@ class _LevelState:
             return lines & self._set_mask
         return lines % self._n_sets
 
-    def access(self, addresses: np.ndarray) -> np.ndarray:
-        """Simulate ``addresses`` in order; return per-access hit mask."""
+    def access(
+        self, addresses: np.ndarray, kernel: Optional[LruKernel] = None
+    ) -> np.ndarray:
+        """Simulate ``addresses`` in order; return per-access hit mask.
+
+        ``kernel`` (from :func:`repro.cache.kernel.lru_kernel`) replays
+        the whole chunk in compiled code; ``None`` runs the numpy engine.
+        """
         n = addresses.shape[0]
         if n == 0:
             return np.zeros(0, dtype=bool)
+        if kernel is not None:
+            hits = np.empty(n, dtype=bool)
+            kernel(
+                addresses.ctypes.data, hits.ctypes.data, n,
+                self._line_shift, self._n_sets, self._assoc,
+                self.tags.ctypes.data, self.stamps.ctypes.data, self.time,
+            )
+            self.time += n
+            return hits
         lines = addresses >> self._line_shift
         if self._n_sets == 1:
             return self._replay_fully_assoc(lines)
@@ -449,6 +474,7 @@ class HierarchySimulator:
         self._stats = [LevelStats(g.name) for g in hierarchy.levels]
         self._total = 0
         self._nested = _nested_set_bits(hierarchy.levels)
+        self._kernel = lru_kernel()
 
     def reset(self) -> None:
         """Clear all cache state and counters."""
@@ -478,13 +504,13 @@ class HierarchySimulator:
         self._total += int(addresses.shape[0])
         REGISTRY.inc("cachesim.chunks")
         REGISTRY.inc("cachesim.accesses", int(addresses.shape[0]))
-        if self._nested:
+        if self._kernel is None and self._nested:
             self._process_nested(addresses, instr_idx)
             return
         for state, stats in zip(self._states, self._stats):
             if addresses.shape[0] == 0:
                 break
-            hits = state.access(addresses)
+            hits = state.access(addresses, self._kernel)
             stats.record(instr_idx, hits)
             miss = ~hits
             addresses = addresses[miss]

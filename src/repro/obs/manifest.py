@@ -3,9 +3,9 @@
 A manifest is one JSON document written next to a command's outputs
 (``run_manifest.json``) recording *what produced what*: the git SHA and
 python/platform of the build, the full CLI configuration, the RNG root
-seed, the app/machine identities, per-stage wall-clock durations, the
-cache and resilience tallies, and a SHA-256 digest of every output
-artifact.
+seed, the app/machine identities, the exact cache simulator's backend,
+per-stage wall-clock durations, the cache and resilience tallies, and a
+SHA-256 digest of every output artifact.
 
 Digests are **content** digests: ``.npz`` outputs are hashed member by
 member (name + uncompressed payload bytes) rather than as container
@@ -117,7 +117,11 @@ def build_manifest(
     same numbers.  ``dag`` accepts the pipeline-DAG run view
     (:class:`~repro.pipeline.dag.DagRunResult`, its stats, or a plain
     dict): node statuses and the ``dag.*`` tallies land under ``"dag"``.
+    ``cachesim_backend`` records which exact-LRU replay this process
+    runs: ``"c"`` (the compiled kernel) or ``"numpy"`` (the fallback).
     """
+    from repro.cache.kernel import backend
+
     doc: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -133,6 +137,7 @@ def build_manifest(
         "app": app,
         "machine": machine,
         "created_unix_s": round(time.time(), 3),
+        "cachesim_backend": backend(),
         "outputs": {
             name: _describe_output(value)
             for name, value in sorted((outputs or {}).items())

@@ -54,6 +54,7 @@ Fault discipline (see :mod:`repro.serve.resilience`):
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
@@ -258,6 +259,8 @@ class QueryEngine:
         # rate enough to drag GC pauses into the dispatch hot loop
         self._metric_names: Dict[tuple, str] = {}
         self._runtime_ctx: Dict[str, tuple] = {}
+        # executor threads build contexts: one build per model
+        self._runtime_lock = threading.Lock()
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._inflight: set = set()
         self._wake: Optional[asyncio.Event] = None
@@ -573,14 +576,15 @@ class QueryEngine:
         return model
 
     def _runtime_context(self, model: FittedModel) -> tuple:
-        ctx = self._runtime_ctx.get(model.digest)
-        if ctx is None:
-            from repro.apps.registry import get_app
-            from repro.machine.systems import get_machine
+        with self._runtime_lock:
+            ctx = self._runtime_ctx.get(model.digest)
+            if ctx is None:
+                from repro.apps.registry import get_app
+                from repro.machine.systems import get_machine
 
-            ctx = (get_app(model.spec.app), get_machine(model.spec.machine))
-            self._runtime_ctx[model.digest] = ctx
-        return ctx
+                ctx = (get_app(model.spec.app), get_machine(model.spec.machine))
+                self._runtime_ctx[model.digest] = ctx
+            return ctx
 
     @staticmethod
     def _batch_key(digest: str, kind: str) -> str:
@@ -672,10 +676,12 @@ class QueryEngine:
         runtimes: Dict[int, float] = {}
         failures: Dict[int, BaseException] = {}
         if kind == "runtime":
-            app, machine = self._runtime_context(model)
             keys = [f"serve:replay:{digest[:12]}:{t}" for t in targets]
 
             def _replay():
+                # the first runtime query of a model builds its machine
+                # profile (MultiMAPS): keep that off the event loop too
+                app, machine = self._runtime_context(model)
                 tasks = [
                     (app, machine, t, model.synthesize(t, prediction=sweep))
                     for t in targets

@@ -2,12 +2,17 @@
 
 The central check is bit-exact agreement with the scalar reference
 implementation over every access-pattern class, across chunk boundaries.
+Both replay backends are held to it: the plain test classes run whatever
+backend the process resolved (the compiled kernel wherever a C compiler
+exists), and their ``...Numpy`` subclasses re-run every test with the
+``numpy_backend`` fixture forcing the numpy engine.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.cache import kernel
 from repro.cache.geometry import CacheGeometry
 from repro.cache.hierarchy import CacheHierarchy
 from repro.cache.reference import ReferenceCacheLevel, simulate_reference
@@ -21,6 +26,33 @@ from repro.memstream.patterns import (
 )
 from repro.util.rng import stream
 from repro.util.units import KB
+
+
+@pytest.fixture(scope="class")
+def numpy_backend():
+    """Simulators built in the class's tests use the numpy engine.
+
+    Class-scoped (hypothesis refuses function-scoped fixtures), so it
+    swaps the resolved kernel by hand instead of through monkeypatch.
+    """
+    saved = kernel._kernel
+    kernel._kernel = None
+    try:
+        yield
+    finally:
+        kernel._kernel = saved
+
+
+@pytest.fixture
+def c_backend():
+    """Simulators built in the test use the compiled kernel."""
+    if kernel.lru_kernel() is None:
+        pytest.skip("no C compiler: the numpy engine is the only backend")
+
+
+#: the ``...Numpy`` subclasses re-run inherited @given tests on purpose;
+#: the tests keep no per-instance state, so a second executor is safe
+_REBACKENDED = [HealthCheck.differing_executors]
 
 
 def tiny_hierarchy():
@@ -62,7 +94,9 @@ class TestAgainstReference:
         st.lists(st.integers(min_value=0, max_value=4 * KB - 1), min_size=1, max_size=400),
         st.integers(min_value=1, max_value=64),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=_REBACKENDED
+    )
     def test_arbitrary_streams_match_reference(self, raw_addrs, chunk):
         """Adversarial random address lists, arbitrary chunking."""
         h = tiny_hierarchy()
@@ -73,6 +107,11 @@ class TestAgainstReference:
         vec_hits = [lv.hits for lv in sim.result().levels]
         _, ref_hits = simulate_reference(h, addrs)
         assert vec_hits == ref_hits
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestAgainstReferenceNumpy(TestAgainstReference):
+    pass
 
 
 class TestSemantics:
@@ -165,6 +204,11 @@ class TestSemantics:
         sim = HierarchySimulator(tiny_hierarchy())
         sim.process(np.empty(0, dtype=np.int64))
         assert sim.result().total_accesses == 0
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestSemanticsNumpy(TestSemantics):
+    pass
 
 
 class TestResultMetrics:
@@ -267,12 +311,17 @@ def _served_levels(hierarchy, addrs, chunk):
         sub = addrs[i : i + chunk]
         sim.process(sub, np.arange(i, i + len(sub), dtype=np.int64))
     result = sim.result()
+    return _served_from(result, n), [lv.hits for lv in result.levels]
+
+
+def _served_from(result, n):
+    """Served level per access id ``0..n-1`` (``n_levels`` = memory)."""
     served = np.full(n, len(result.levels), dtype=np.int32)
     for j in reversed(range(len(result.levels))):
         hits = result.levels[j].instr_hits
         idx = np.flatnonzero(hits > 0)
         served[idx] = j
-    return served, [lv.hits for lv in result.levels]
+    return served
 
 
 class TestFastPathEquivalence:
@@ -312,7 +361,9 @@ class TestFastPathEquivalence:
         ),
         st.integers(min_value=1, max_value=97),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=_REBACKENDED
+    )
     def test_arbitrary_streams_served_levels(self, geo_idx, raw_addrs, chunk):
         hierarchy = _geometry_zoo()[geo_idx]
         addrs = np.asarray(raw_addrs, dtype=np.int64)
@@ -320,6 +371,11 @@ class TestFastPathEquivalence:
         ref_served, ref_hits = simulate_reference(hierarchy, addrs)
         np.testing.assert_array_equal(served, ref_served)
         assert level_hits == ref_hits
+
+
+@pytest.mark.usefixtures("numpy_backend")
+class TestFastPathEquivalenceNumpy(TestFastPathEquivalence):
+    pass
 
 
 class TestLevelStats:
@@ -425,3 +481,64 @@ def test_instruction_cumulative_hit_rates_pins_scalar_reference():
 
     got = result.instruction_cumulative_hit_rates(n_instr)
     np.testing.assert_array_equal(got, expected)
+
+
+def _per_access(hierarchy, first, second, between):
+    """Served levels of two chunks through one simulator, with the
+    method named ``between`` (``clear_counters`` or ``reset``) called
+    in between."""
+    sim = HierarchySimulator(hierarchy)
+    sim.process(first, np.arange(len(first), dtype=np.int64))
+    served = [_served_from(sim.result(), len(first))]
+    getattr(sim, between)()
+    sim.clear_counters()
+    sim.process(second, np.arange(len(second), dtype=np.int64))
+    result = sim.result()
+    served.append(_served_from(result, len(second)))
+    return served, [lv.hits for lv in result.levels]
+
+
+@pytest.mark.usefixtures("c_backend")
+class TestCompiledBackend:
+    """The compiled kernel against the numpy engine, beyond the zoo."""
+
+    @pytest.mark.parametrize(
+        "machine",
+        ["opteron_2level", "cray_xt5", "blue_waters_p1", "system_a", "system_b"],
+    )
+    def test_multimaps_identical_to_numpy(self, machine, monkeypatch):
+        from repro.machine.multimaps import run_multimaps
+        from repro.machine.systems import get_spec
+
+        spec = get_spec(machine)
+        compiled = run_multimaps(
+            spec.hierarchy, spec.timing, accesses_per_probe=3000
+        )
+        monkeypatch.setattr(kernel, "_kernel", None)
+        reference = run_multimaps(
+            spec.hierarchy, spec.timing, accesses_per_probe=3000
+        )
+        np.testing.assert_array_equal(compiled.hit_rates, reference.hit_rates)
+        np.testing.assert_array_equal(
+            compiled.bandwidths_gbs, reference.bandwidths_gbs
+        )
+
+    @pytest.mark.parametrize("between", ["clear_counters", "reset"])
+    @pytest.mark.parametrize(
+        "hierarchy", _geometry_zoo(), ids=lambda h: h.name
+    )
+    def test_warm_state_semantics_match_numpy(
+        self, hierarchy, between, monkeypatch
+    ):
+        pattern = GatherScatterPattern(region_bytes=8 * KB, locality=0.5)
+        addrs = pattern.addresses(0, 3000, stream("warm", hierarchy.name))
+        served, hits = _per_access(
+            hierarchy, addrs[:1500], addrs[1500:], between
+        )
+        monkeypatch.setattr(kernel, "_kernel", None)
+        ref_served, ref_hits = _per_access(
+            hierarchy, addrs[:1500], addrs[1500:], between
+        )
+        for got, want in zip(served, ref_served):
+            np.testing.assert_array_equal(got, want)
+        assert hits == ref_hits

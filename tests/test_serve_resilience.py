@@ -372,6 +372,55 @@ class TestOffload:
         ).runtime_s
         assert answer.runtime_s == expected
 
+    def test_runtime_context_builds_off_the_event_loop(
+        self, serve_model, bw_machine, monkeypatch
+    ):
+        """A model's first runtime query builds its machine profile
+        (MultiMAPS, seconds at full size) in the offload thread: features
+        queries sent meanwhile are answered before the build returns."""
+        import threading
+
+        from repro.machine import systems
+
+        entered, release = threading.Event(), threading.Event()
+        returned = []
+
+        def slow_get_machine(name, **kwargs):
+            entered.set()
+            release.wait(timeout=10)
+            returned.append(name)
+            return bw_machine
+
+        monkeypatch.setattr(systems, "get_machine", slow_get_machine)
+
+        async def main():
+            engine = _engine(serve_model)
+            await engine.start()
+            loop = asyncio.get_running_loop()
+            try:
+                runtime = asyncio.ensure_future(
+                    engine.query(Query(target=64, kind="runtime"))
+                )
+                assert await loop.run_in_executor(None, entered.wait, 10)
+                features = await asyncio.wait_for(
+                    asyncio.gather(
+                        *(engine.query(Query(target=t)) for t in (32, 64, 128))
+                    ),
+                    timeout=10,
+                )
+                answered_while_building = not returned
+                release.set()
+                answer = await asyncio.wait_for(runtime, timeout=60)
+            finally:
+                release.set()
+                await engine.stop()
+            return answered_while_building, features, answer
+
+        answered_while_building, features, answer = asyncio.run(main())
+        assert answered_while_building
+        assert [a.target for a in features] == [32, 64, 128]
+        assert answer.runtime_s > 0
+
     def test_worker_crash_during_replay_fails_one_query(
         self, serve_model, bw_machine
     ):
