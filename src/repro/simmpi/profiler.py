@@ -13,7 +13,7 @@ system suffices in the real pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.instrument.program import BasicBlockSpec, Program
 from repro.simmpi.events import ComputeEvent
@@ -56,7 +56,9 @@ class LightweightProfile:
 
 
 def profile_job(
-    job: Job, program_for_rank: Callable[[int], Program]
+    job: Job,
+    program_for_rank: Callable[[int], Program],
+    equivalence_classes: Optional[Sequence[Sequence[int]]] = None,
 ) -> LightweightProfile:
     """Estimate per-rank computation time for a job.
 
@@ -66,21 +68,33 @@ def profile_job(
         The recorded job.
     program_for_rank:
         Maps a rank to its program (for per-iteration block weights).
+    equivalence_classes:
+        Ranks with identical programs (the app's
+        ``equivalence_classes``): each block is priced once per class,
+        from its lowest rank's program.  Default: every rank alone.
+        Each rank still sums its own compute events in its own order.
     """
+    if equivalence_classes is None:
+        equivalence_classes = [[r] for r in range(job.n_ranks)]
     compute_times: Dict[int, float] = {}
-    for script in job.scripts:
-        program = program_for_rank(script.rank)
+    for cls in equivalence_classes:
+        program = program_for_rank(min(cls))
         cost_cache: Dict[int, float] = {}
-        total_ns = 0.0
-        for ev in script.events:
-            if not isinstance(ev, ComputeEvent):
-                continue
-            if ev.block_id not in cost_cache:
-                cost_cache[ev.block_id] = _block_iteration_cost_ns(
-                    program.block(ev.block_id)
-                )
-            total_ns += cost_cache[ev.block_id] * ev.iterations
-        compute_times[script.rank] = total_ns * 1e-9
+        for rank in cls:
+            total_ns = 0.0
+            for ev in job.scripts[rank].events:
+                if not isinstance(ev, ComputeEvent):
+                    continue
+                if ev.block_id not in cost_cache:
+                    cost_cache[ev.block_id] = _block_iteration_cost_ns(
+                        program.block(ev.block_id)
+                    )
+                total_ns += cost_cache[ev.block_id] * ev.iterations
+            compute_times[rank] = total_ns * 1e-9
+    if sorted(compute_times) != list(range(job.n_ranks)):
+        raise ValueError("equivalence classes must partition all ranks")
     return LightweightProfile(
-        app=job.app, n_ranks=job.n_ranks, compute_times_s=compute_times
+        app=job.app,
+        n_ranks=job.n_ranks,
+        compute_times_s={r: compute_times[r] for r in range(job.n_ranks)},
     )

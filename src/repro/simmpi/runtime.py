@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.simmpi.comm import SimComm
 from repro.simmpi.events import CollectiveEvent, ComputeEvent, RecvEvent, SendEvent
@@ -49,6 +49,12 @@ class Job:
     app: str
     n_ranks: int
     scripts: List[RankScript]
+    #: the replay's compiled form, filled by the first replay
+    #: (:func:`repro.psins.replay.compile_job`); scripts are records,
+    #: never modified once the job is built
+    compiled: Optional[Any] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if len(self.scripts) != self.n_ranks:

@@ -162,6 +162,33 @@ class TestProxyContracts:
             assert s1.events == s2.events
 
 
+class TestProfileByClass:
+    """Pricing blocks once per equivalence class changes no estimate."""
+
+    @pytest.mark.parametrize(
+        "name,counts",
+        [("specfem3d", (96, 384, 1536, 6144)), ("uh3d", (1024, 2048, 4096, 8192))],
+    )
+    def test_identical_to_per_rank_profile_at_table1_counts(self, name, counts):
+        app = get_app(name)
+        for p in counts:
+            job = app.build_job(p)
+            per_rank = profile_job(job, app.program_factory(p))
+            by_class = profile_job(
+                job, app.program_factory(p), app.equivalence_classes(p)
+            )
+            assert list(by_class.compute_times_s.items()) == list(
+                per_rank.compute_times_s.items()
+            )
+            assert by_class.slowest_rank() == per_rank.slowest_rank()
+
+    def test_classes_must_partition_the_ranks(self):
+        app = get_app("jacobi")
+        job = app.build_job(8)
+        with pytest.raises(ValueError, match="partition"):
+            profile_job(job, app.program_factory(8), [[0, 1, 2]])
+
+
 class TestJacobiSpecifics:
     def test_weak_scaling_grows_global(self):
         app = JacobiProxy(

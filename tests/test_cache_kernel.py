@@ -1,8 +1,9 @@
-"""The compiled LRU kernel's build, cache and fallback contract.
+"""The compiled kernels' build, cache and fallback contract.
 
 Every way the build can go wrong — no compiler, a failing compiler, an
 unwritable kernel cache, two processes building at once — must end in a
-working simulator with bit-identical results and at most one log line;
+working simulator with bit-identical results and at most one log line
+(the replay kernel shares the library, so it falls back with it);
 and the build must stay lazy: importing the package or listing apps and
 machines never runs the compiler.
 """
@@ -72,6 +73,7 @@ def numpy_hits():
 @needs_cc
 def test_builds_caches_and_matches_numpy(fresh_kernel, numpy_hits):
     assert kernel.backend() == "c"
+    assert kernel.replay_kernel() is not None  # one library, both kernels
     built = list(fresh_kernel.iterdir())
     assert len(built) == 1 and built[0].suffix == ".so"
     assert _level_hits() == numpy_hits
@@ -87,6 +89,7 @@ def test_no_compiler_falls_back_to_numpy(
         assert kernel.backend() == "numpy"
         assert _level_hits() == numpy_hits
         assert kernel.backend() == "numpy"
+        assert kernel.replay_kernel() is None
     assert len(_fallback_records(caplog)) == 1
     assert not fresh_kernel.exists()
 
@@ -172,7 +175,7 @@ def test_concurrent_builds_both_load(fresh_kernel, numpy_hits):
 
 
 def test_import_and_list_never_compile(tmp_path):
-    """The build is lazy: only a simulation may run the compiler."""
+    """The build is lazy: only a simulation or replay may run the compiler."""
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
     marker = tmp_path / "compiler-ran"
@@ -193,7 +196,8 @@ def test_import_and_list_never_compile(tmp_path):
             capture_output=True, timeout=120,
         )
 
-    run("-c", "import repro, repro.cli, repro.cache, repro.cache.simulator")
+    run("-c", "import repro, repro.cli, repro.cache, repro.cache.simulator, "
+        "repro.psins.replay")
     run("-m", "repro", "list")
     assert not marker.exists()
     # control: the first simulation does reach the (fake) compiler

@@ -7,6 +7,7 @@ together the way the benchmark harness does, but at test-friendly sizes.
 import numpy as np
 import pytest
 
+from repro.apps.jacobi import JacobiParams, JacobiProxy
 from repro.core.errors import abs_rel_error
 from repro.core.extrapolate import extrapolate_trace
 from repro.core.influence import influential_instructions
@@ -40,6 +41,24 @@ class TestCollection:
         settings = CollectionSettings(ranks="all", collector=FAST_COLLECTOR)
         sig = collect_signature(small_jacobi, 4, bw_machine.hierarchy, settings)
         assert sig.ranks == [0, 1, 2, 3]
+
+    def test_profiles_one_program_per_class(self, bw_machine):
+        """The profiler prices blocks once per equivalence class: rank
+        programs are built once per class plus once per traced rank."""
+        built = []
+
+        class Counting(JacobiProxy):
+            def rank_program(self, rank, n_ranks):
+                built.append(rank)
+                return super().rank_program(rank, n_ranks)
+
+        app = Counting(JacobiParams(global_cells=(64, 64, 64), n_steps=2))
+        settings = CollectionSettings(
+            ranks=[0, 63], collector=FAST_COLLECTOR, workers=0
+        )
+        sig = collect_signature(app, 64, bw_machine.hierarchy, settings)
+        assert len(sig.compute_times) == 64
+        assert len(built) <= len(app.equivalence_classes(64)) + 2
 
     def test_bad_rank_rejected(self, small_jacobi, bw_machine):
         settings = CollectionSettings(ranks=[99], collector=FAST_COLLECTOR)
