@@ -13,62 +13,54 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from repro.simmpi.events import (
-    CollectiveEvent,
-    ComputeEvent,
-    Event,
-    RecvEvent,
-    SendEvent,
-)
+import numpy as np
+
+from repro.simmpi.runtime import RECV, SEND, Job
 
 
-def _slot_signature(ev: Event) -> Tuple:
-    """The structural identity of an event (scalars excluded)."""
-    if isinstance(ev, ComputeEvent):
-        return ("compute", ev.block_id)
-    if isinstance(ev, SendEvent):
-        return ("send", ev.tag)
-    if isinstance(ev, RecvEvent):
-        return ("recv", ev.tag)
-    if isinstance(ev, CollectiveEvent):
-        return ("coll", ev.op)
-    raise TypeError(f"unknown event type {type(ev)!r}")
+def _slot_keys(job: Job, events: slice) -> np.ndarray:
+    """Each event's structural identity (scalars excluded), one row per
+    event: its kind, and its tag (p2p) or block id / collective op."""
+    kind = job.kind[events]
+    p2p = (kind == SEND) | (kind == RECV)
+    return np.stack(
+        [kind, np.where(p2p, job.tag[events], job.arg[events])], axis=1
+    )
 
 
-def stanza_signature(events: List[Event]) -> Tuple:
-    """Structural signature of a whole event sequence."""
-    return tuple(_slot_signature(ev) for ev in events)
-
-
-def _scalar_of(ev: Event) -> float:
-    if isinstance(ev, ComputeEvent):
-        return float(ev.iterations)
-    if isinstance(ev, (SendEvent, RecvEvent)):
-        return float(ev.nbytes)
-    return float(ev.nbytes)  # collective payload
+def stanza_signature(job: Job, rank: int) -> Tuple:
+    """Structural signature of one rank's whole event sequence."""
+    return tuple(map(tuple, _slot_keys(job, job.events_of(rank)).tolist()))
 
 
 @dataclass
 class Stanza:
     """One rank's repeating event skeleton.
 
-    ``template`` holds one period's events (the first occurrence);
+    ``kind``, ``arg`` and ``tag`` hold one period's events (the first
+    occurrence, encoded as in :class:`~repro.simmpi.runtime.Job`);
     ``repeats`` how many times it recurs; ``scalars[i]`` the per-period
-    scalar values of slot ``i`` (length ``repeats``), letting callers
-    check stationarity or fit within-run trends.
+    scalar values — iterations or bytes — of slot ``i`` (length
+    ``repeats``), letting callers check stationarity or fit within-run
+    trends.
     """
 
     rank: int
-    template: List[Event]
+    kind: List[int]
+    arg: List[int]
+    tag: List[int]
     repeats: int
     scalars: List[List[float]] = field(default_factory=list)
 
     @property
     def n_slots(self) -> int:
-        return len(self.template)
+        return len(self.kind)
 
     def signature(self) -> Tuple:
-        return stanza_signature(self.template)
+        return tuple(
+            (k, t if k in (SEND, RECV) else a)
+            for k, a, t in zip(self.kind, self.arg, self.tag)
+        )
 
     def slot_scalar(self, slot: int) -> float:
         """Representative (first-period) scalar of one slot."""
@@ -80,8 +72,8 @@ class Stanza:
         return all(v == vals[0] for v in vals)
 
 
-def compress_script(rank: int, events: List[Event]) -> Stanza:
-    """Find the shortest repeating stanza of a rank's event list.
+def compress_script(job: Job, rank: int) -> Stanza:
+    """Find the shortest repeating stanza of a rank's events.
 
     The whole script must be an integer number of repetitions of a
     structural period (the normal shape of a time-stepping SPMD trace);
@@ -89,24 +81,24 @@ def compress_script(rank: int, events: List[Event]) -> Stanza:
     covering everything (repeats=1), which downstream code handles
     uniformly.
     """
-    n = len(events)
+    events = job.events_of(rank)
+    keys = _slot_keys(job, events)
+    n = len(keys)
     if n == 0:
-        return Stanza(rank=rank, template=[], repeats=0)
-    signature = stanza_signature(events)
+        return Stanza(rank=rank, kind=[], arg=[], tag=[], repeats=0)
     for period in range(1, n + 1):
         if n % period:
             continue
-        head = signature[:period]
-        if signature == head * (n // period):
-            repeats = n // period
-            scalars = [
-                [_scalar_of(events[r * period + i]) for r in range(repeats)]
-                for i in range(period)
-            ]
+        repeats = n // period
+        if (keys.reshape(repeats, period, 2) == keys[:period]).all():
+            head = slice(events.start, events.start + period)
+            scalars = job.count[events].astype(np.float64)
             return Stanza(
                 rank=rank,
-                template=list(events[:period]),
+                kind=job.kind[head].tolist(),
+                arg=job.arg[head].tolist(),
+                tag=job.tag[head].tolist(),
                 repeats=repeats,
-                scalars=scalars,
+                scalars=scalars.reshape(repeats, period).T.tolist(),
             )
     raise AssertionError("period=n always matches")  # pragma: no cover

@@ -23,8 +23,9 @@ The ScalaExtrap recipe, adapted to this library's event model:
    represent, DESIGN.md §5);
 4. re-derive point-to-point partners from the representative's grid
    *offsets* applied to the target grid, and finally reconcile receive
-   sizes against the synthesized sends (matched FIFO per (src, dest,
-   tag), exactly like the replay engine) so the job is self-consistent.
+   sizes against the synthesized sends (paired by the replay's static
+   matcher, :func:`~repro.simmpi.runtime.match_messages`) so the job is
+   self-consistent.
 
 The result is a complete :class:`~repro.simmpi.runtime.Job` at the
 target count, built without running the application there — the
@@ -34,9 +35,7 @@ extrapolation.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import replace
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,13 +43,14 @@ from repro.apps.decomposition import factor3
 from repro.commextrap.stanza import Stanza, compress_script
 from repro.commextrap.topology import InferredTopology, infer_topology
 from repro.core.canonical import CanonicalForm, EXTENDED_FORMS, fit_best
-from repro.simmpi.events import (
-    CollectiveEvent,
-    ComputeEvent,
-    RecvEvent,
-    SendEvent,
+from repro.simmpi.runtime import (
+    COLLECTIVE,
+    COMPUTE,
+    SEND,
+    Job,
+    match_messages,
+    verify_job,
 )
-from repro.simmpi.runtime import Job, RankScript, verify_job
 
 
 class CommExtrapolationError(ValueError):
@@ -139,24 +139,16 @@ def _complementary_product(
     return prod
 
 
-def _reconcile_recv_sizes(scripts: List[RankScript]) -> None:
-    """Make receive sizes equal their matched sends' (FIFO per key)."""
-    queues: Dict[Tuple[int, int, int], Deque[int]] = defaultdict(deque)
-    for script in scripts:
-        for ev in script.events:
-            if isinstance(ev, SendEvent):
-                queues[(script.rank, ev.dest, ev.tag)].append(ev.nbytes)
-    for script in scripts:
-        for i, ev in enumerate(script.events):
-            if isinstance(ev, RecvEvent):
-                key = (ev.src, script.rank, ev.tag)
-                if not queues[key]:
-                    raise CommExtrapolationError(
-                        f"synthesized job has an unmatched recv on {key}"
-                    )
-                nbytes = queues[key].popleft()
-                if nbytes != ev.nbytes:
-                    script.events[i] = replace(ev, nbytes=nbytes)
+def _reconcile_recv_sizes(job: Job) -> None:
+    """Make receive sizes equal their matched sends', in place."""
+    sends, recvs, matched = match_messages(job)
+    if (matched < 0).any():
+        i = recvs[np.argmin(matched)]
+        key = (int(job.arg[i]), int(job.ranks_of(i)), int(job.tag[i]))
+        raise CommExtrapolationError(
+            f"synthesized job has an unmatched recv on {key}"
+        )
+    job.count[recvs] = job.count[sends[matched]]
 
 
 def extrapolate_job(
@@ -209,7 +201,7 @@ def extrapolate_job(
     # pre-compress every training rank's script (lazy per-rank would
     # re-do work: each training rank typically represents many targets)
     stanzas: List[Dict[int, Stanza]] = [
-        {s.rank: compress_script(s.rank, s.events) for s in job.scripts}
+        {rank: compress_script(job, rank) for rank in range(job.n_ranks)}
         for job in jobs
     ]
 
@@ -225,7 +217,9 @@ def extrapolate_job(
             )
         return fit_cache[key]
 
-    scripts: List[RankScript] = []
+    # the target job's event columns: kind, arg, count, tag
+    columns: Tuple[List[int], ...] = ([], [], [], [])
+    offsets = [0]
     for rank in range(target_n_ranks):
         coords = target_topo.coords_of(rank)
         categories = tuple(
@@ -257,43 +251,41 @@ def extrapolate_job(
         if repeats < 0:
             repeats = 0
 
-        template: List = []
+        template: List[Tuple[int, int, int, int]] = []
         for slot in range(reps[0].n_slots):
-            model = reps[0].template[slot]
+            kind = reps[0].kind[slot]
             slot_values = [s.slot_scalar(slot) for s in reps]
-            if isinstance(model, ComputeEvent):
-                # volume-like invariant: iterations x total ranks
-                scalar = _invariant_extrapolate(
-                    slot_values,
-                    [j.n_ranks for j in jobs],
-                    target_n_ranks,
-                )
+            if kind in (COMPUTE, COLLECTIVE):
+                scalar = None
+                if kind == COMPUTE:
+                    # volume-like invariant: iterations x total ranks
+                    scalar = _invariant_extrapolate(
+                        slot_values,
+                        [j.n_ranks for j in jobs],
+                        target_n_ranks,
+                    )
                 if scalar is None:
                     scalar = fallback_fit(slot_values)
                 template.append(
-                    ComputeEvent(
-                        block_id=model.block_id,
-                        iterations=int(round(scalar)),
-                    )
+                    (kind, reps[0].arg[slot], int(round(scalar)), 0)
                 )
-            elif isinstance(model, (SendEvent, RecvEvent)):
+            else:
                 # partner via the representative's grid offset
-                offsets = []
+                grid_offsets = []
                 for stanza, topo in zip(reps, rep_topos):
-                    ev = stanza.template[slot]
+                    peer = stanza.arg[slot]
                     src, dst = (
-                        (stanza.rank, ev.dest)
-                        if isinstance(ev, SendEvent)
-                        else (ev.src, stanza.rank)
+                        (stanza.rank, peer) if kind == SEND
+                        else (peer, stanza.rank)
                     )
-                    offsets.append(topo.offset_of(src, dst))
-                if len(set(offsets)) != 1:
+                    grid_offsets.append(topo.offset_of(src, dst))
+                if len(set(grid_offsets)) != 1:
                     raise CommExtrapolationError(
                         f"target rank {rank} slot {slot}: partner offsets "
-                        f"disagree across training counts: {offsets}"
+                        f"disagree across training counts: {grid_offsets}"
                     )
-                offset = offsets[0]
-                if isinstance(model, SendEvent):
+                offset = grid_offsets[0]
+                if kind == SEND:
                     partner = target_topo.neighbor(rank, offset)
                 else:
                     partner = target_topo.neighbor(
@@ -316,27 +308,15 @@ def extrapolate_job(
                 )
                 if scalar is None:
                     scalar = fallback_fit(slot_values)
-                nbytes = int(round(scalar))
-                if isinstance(model, SendEvent):
-                    template.append(
-                        SendEvent(dest=partner, nbytes=nbytes, tag=model.tag)
-                    )
-                else:
-                    template.append(
-                        RecvEvent(src=partner, nbytes=nbytes, tag=model.tag)
-                    )
-            elif isinstance(model, CollectiveEvent):
-                scalar = fallback_fit(slot_values)
                 template.append(
-                    CollectiveEvent(op=model.op, nbytes=int(round(scalar)))
+                    (kind, partner, int(round(scalar)), reps[0].tag[slot])
                 )
-            else:  # pragma: no cover - stanza covers all types
-                raise TypeError(f"unknown event {type(model)!r}")
 
-        events = [ev for _ in range(repeats) for ev in template]
-        scripts.append(RankScript(rank=rank, events=events))
+        for column, values in zip(columns, zip(*template)):
+            column.extend(values * repeats)
+        offsets.append(offsets[-1] + len(template) * repeats)
 
-    _reconcile_recv_sizes(scripts)
-    job = Job(app=jobs[0].app, n_ranks=target_n_ranks, scripts=scripts)
+    job = Job(jobs[0].app, target_n_ranks, offsets, *columns)
+    _reconcile_recv_sizes(job)
     verify_job(job)
     return job

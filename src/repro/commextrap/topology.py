@@ -15,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import List, Set, Tuple
 
-from repro.simmpi.events import RecvEvent, SendEvent
-from repro.simmpi.runtime import Job
+import numpy as np
+
+from repro.simmpi.runtime import RECV, SEND, Job
 
 
 def _factorizations(p: int) -> List[Tuple[int, int, int]]:
@@ -89,14 +90,11 @@ class InferredTopology:
 
 
 def _p2p_edges(job: Job) -> Set[Tuple[int, int]]:
-    edges = set()
-    for script in job.scripts:
-        for ev in script.events:
-            if isinstance(ev, SendEvent):
-                edges.add((script.rank, ev.dest))
-            elif isinstance(ev, RecvEvent):
-                edges.add((ev.src, script.rank))
-    return edges
+    sends = np.flatnonzero(job.kind == SEND)
+    recvs = np.flatnonzero(job.kind == RECV)
+    src = np.concatenate([job.ranks_of(sends), job.arg[recvs]])
+    dest = np.concatenate([job.arg[sends], job.ranks_of(recvs)])
+    return set(zip(src.tolist(), dest.tolist()))
 
 
 def infer_topology(job: Job) -> InferredTopology:

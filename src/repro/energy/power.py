@@ -20,13 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+import numpy as np
 
 from repro.machine.timing import FP_OP_KINDS
 from repro.psins.convolution import ComputationModel
 from repro.psins.replay import ReplayResult
-from repro.simmpi.events import ComputeEvent
-from repro.simmpi.runtime import Job
+from repro.simmpi.runtime import COMPUTE, Job
 from repro.util.validation import check_in_range, check_positive
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right float sum, in event order (``np.sum`` pairs terms)."""
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -184,14 +189,14 @@ class EnergyModel:
             bid: (self.computation.iteration_time_s(bid), b.power_w)
             for bid, b in self._blocks.items()
         }
-        compute_energy = 0.0
-        compute_time_total = 0.0
-        for script in job.scripts:
-            for ev in script.events:
-                if isinstance(ev, ComputeEvent):
-                    dt, watts = per_iter_power_time[ev.block_id]
-                    compute_energy += dt * ev.iterations * watts
-                    compute_time_total += dt * ev.iterations
+        computes = job.kind == COMPUTE
+        blocks, inverse = np.unique(job.arg[computes], return_inverse=True)
+        dt, watts = np.array(
+            [per_iter_power_time[b] for b in blocks.tolist()], dtype=np.float64
+        ).reshape(-1, 2).T
+        iterations = job.count[computes]
+        compute_energy = _sum_in_order(dt[inverse] * iterations * watts[inverse])
+        compute_time_total = _sum_in_order(dt[inverse] * iterations)
         wall = replay.runtime_s
         idle_time = max(0.0, wall * job.n_ranks - compute_time_total)
         idle_energy = idle_time * self.power.static_w

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from repro.util.validation import check_finite
 
@@ -93,6 +92,9 @@ class BandwidthSurface:
         weights = bandwidths
         a = fractions * weights[:, None]
         b = target * weights
+        # scipy.optimize costs half a second to import: only a fit pays it
+        from scipy.optimize import nnls
+
         coeffs, _residual = nnls(a, b)
         return cls(
             sample_hit_rates=hit_rates,

@@ -805,6 +805,11 @@ def _run_wave(
         "wave: executing %d node(s): %s",
         len(runnable), ", ".join(n.name for n, _k, _a in runnable),
     )
+    # every rule builds a machine, whose bandwidth-surface fit imports
+    # scipy.optimize (~0.5 s): import it once here, where only a run
+    # that executes nodes pays, so forked workers inherit it
+    import scipy.optimize  # noqa: F401
+
     crashes_before = report.crashes
     results, _ = run_tasks_resilient(
         _execute_node, tasks,

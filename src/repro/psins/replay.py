@@ -16,19 +16,21 @@ The scheduler is work-queue driven (a rank is revisited only when
 something it waits for happens), so replay is O(events) not
 O(events x ranks).
 
-Two engines run it.  :func:`replay_job` compiles the job once
-(:func:`compile_job`, kept on the job) into flat per-event arrays and
-replays them with the ``replay`` function of :mod:`repro.cache.kernel`;
-:class:`ReplayEngine` interprets the event objects in Python and runs
-exactly when that compiled library is unavailable (no compiler, or a
-failed build).  The two agree bit for bit:
+Two engines run it, both over the job's flat event arrays
+(:class:`~repro.simmpi.runtime.Job`).  :func:`replay_job` compiles the
+job once (:func:`compile_job`, kept on the job) into the kernel's
+program and replays it with the ``replay`` function of
+:mod:`repro.cache.kernel`; :class:`ReplayEngine` interprets the events
+in Python with its own dynamic mailbox, and runs exactly when that
+compiled library is unavailable (no compiler, or a failed build).  The
+two agree bit for bit:
 
-- **Static FIFO matching.**  Messages on one ``(src, dest, tag)`` key
-  are sent in the sender's program order and received in the
-  receiver's, so the k-th send on a key is the k-th recv's message
-  whatever the schedule.  :func:`compile_job` pairs them with a stable
-  numpy sort on packed integer keys; a recv then only waits for, and
-  reads the clock of, its one matched send.
+- **Static FIFO matching.**  :func:`compile_job` pairs every recv with
+  its send by :func:`~repro.simmpi.runtime.match_messages` (the k-th
+  recv on a ``(src, dest, tag)`` key takes the k-th send on it); a recv
+  then only waits for, and reads the clock of, its one matched send.
+  :class:`ReplayEngine` matches as messages arrive, so agreement of the
+  two engines also checks the static matcher.
 - **Schedule independence.**  Each rank applies a fixed sequence of
   double operations to its clocks; a recv reads only its matched
   send's posting time; a collective finishes at the max of its
@@ -45,7 +47,6 @@ failed build).  The two agree bit for bit:
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, Sequence, Tuple
@@ -55,8 +56,16 @@ import numpy as np
 from repro.cache.kernel import replay_kernel
 from repro.machine.network import NetworkParameters
 from repro.obs.trace import span
-from repro.simmpi.events import CollectiveEvent, ComputeEvent, RecvEvent, SendEvent
-from repro.simmpi.runtime import Job
+from repro.simmpi.runtime import (
+    COLLECTIVE,
+    COLLECTIVE_OPS,
+    COMPUTE,
+    KIND_NAMES,
+    RECV,
+    SEND,
+    Job,
+    match_messages,
+)
 
 
 class ComputationTimer:
@@ -178,12 +187,12 @@ def _collective_mismatch(idx: int, rank: int, spec, others):
 
 
 def _deadlock(job: Job, pc: Sequence[int]) -> ReplayDeadlockError:
-    """``pc``: each rank's next event (its script length when done)."""
-    scripts = [s.events for s in job.scripts]
-    stuck = [r for r in range(job.n_ranks) if pc[r] < len(scripts[r])]
+    """``pc``: each rank's next event index (its end offset when done)."""
+    starts, ends = job.offsets[:-1].tolist(), job.offsets[1:].tolist()
+    stuck = [r for r in range(job.n_ranks) if pc[r] < ends[r]]
     detail = ", ".join(
-        f"rank {r} at event {pc[r]}/{len(scripts[r])} "
-        f"({type(scripts[r][pc[r]]).__name__})"
+        f"rank {r} at event {pc[r] - starts[r]}/{ends[r] - starts[r]} "
+        f"({KIND_NAMES[job.kind[pc[r]]]})"
         for r in stuck[:5]
     )
     return ReplayDeadlockError(
@@ -225,8 +234,8 @@ class ReplayEngine:
         self.timer = timer
         self.network = network
         n = job.n_ranks
-        self.scripts = [s.events for s in job.scripts]
-        self.pc = [0] * n
+        #: each rank's next event index
+        self.pc = job.offsets[:-1].tolist()
         self.clock = np.zeros(n)
         self.compute_time = np.zeros(n)
         self.comm_time = np.zeros(n)
@@ -242,7 +251,10 @@ class ReplayEngine:
     def run(self) -> ReplayResult:
         job, timer, network = self.job, self.timer, self.network
         n = job.n_ranks
-        scripts = self.scripts
+        kinds, args, counts, tags = (
+            a.tolist() for a in (job.kind, job.arg, job.count, job.tag)
+        )
+        ends = job.offsets[1:].tolist()
         pc = self.pc
         clock = self.clock
         compute_time = self.compute_time
@@ -256,7 +268,6 @@ class ReplayEngine:
         runnable: Deque[int] = deque(range(n))
         queued = [True] * n
         done_count = 0
-        n_events = sum(len(s) for s in scripts)
         send_overhead = network.send_overhead_us * 1e-6
 
         def wake(rank: int) -> None:
@@ -267,20 +278,21 @@ class ReplayEngine:
         while runnable:
             r = runnable.popleft()
             queued[r] = False
-            script = scripts[r]
-            while pc[r] < len(script):
-                ev = script[pc[r]]
-                if isinstance(ev, ComputeEvent):
-                    dt = timer.time_s(r, ev.block_id, ev.iterations)
+            end = ends[r]
+            while pc[r] < end:
+                i = pc[r]
+                kind = kinds[i]
+                if kind == COMPUTE:
+                    dt = timer.time_s(r, args[i], counts[i])
                     clock[r] += dt
                     compute_time[r] += dt
                     pc[r] += 1
-                elif isinstance(ev, SendEvent):
-                    key = (r, ev.dest, ev.tag)
+                elif kind == SEND:
+                    key = (r, args[i], tags[i])
                     clock[r] += send_overhead
                     comm_time[r] += send_overhead
                     mailbox.setdefault(key, deque()).append(
-                        (clock[r], ev.nbytes)
+                        (clock[r], counts[i])
                     )
                     pc[r] += 1
                     waiters = recv_waiters.get(key)
@@ -288,8 +300,8 @@ class ReplayEngine:
                         wake(waiters.popleft())
                         if not waiters:
                             del recv_waiters[key]
-                elif isinstance(ev, RecvEvent):
-                    key = (ev.src, r, ev.tag)
+                elif kind == RECV:
+                    key = (args[i], r, tags[i])
                     box = mailbox.get(key)
                     if not box:
                         recv_waiters.setdefault(key, deque()).append(r)
@@ -297,16 +309,16 @@ class ReplayEngine:
                     avail, nbytes = box.popleft()
                     if not box:
                         del mailbox[key]
-                    if nbytes != ev.nbytes:
-                        raise _size_mismatch(key, nbytes, ev.nbytes)
+                    if nbytes != counts[i]:
+                        raise _size_mismatch(key, nbytes, counts[i])
                     start = clock[r]
                     finish = max(start, avail) + network.p2p_time_s(nbytes)
                     comm_time[r] += finish - start
                     clock[r] = finish
                     pc[r] += 1
-                elif isinstance(ev, CollectiveEvent):
+                else:  # COLLECTIVE
                     idx = coll_index[r]
-                    spec = (ev.op, ev.nbytes)
+                    spec = (COLLECTIVE_OPS[args[i]], counts[i])
                     if idx in coll_spec and coll_spec[idx] != spec:
                         raise _collective_mismatch(idx, r, spec, coll_spec[idx])
                     coll_spec[idx] = spec
@@ -315,7 +327,7 @@ class ReplayEngine:
                     coll_index[r] += 1
                     if len(arrivals) < n:
                         break  # blocked until the last rank arrives
-                    cost = _COLLECTIVE_COST[ev.op](network, n, ev.nbytes)
+                    cost = _COLLECTIVE_COST[spec[0]](network, n, spec[1])
                     finish = max(arrivals.values()) + cost
                     for rank, arrived in arrivals.items():
                         comm_time[rank] += finish - arrived
@@ -327,8 +339,6 @@ class ReplayEngine:
                     # bookkeeping can never be consulted again
                     del coll_arrivals[idx]
                     del coll_spec[idx]
-                else:  # pragma: no cover - defensive
-                    raise TypeError(f"unknown event type {type(ev)!r}")
             else:
                 done_count += 1
 
@@ -341,12 +351,13 @@ class ReplayEngine:
             runtime_s=float(clock.max()) if n else 0.0,
             compute_time_s=compute_time,
             comm_time_s=comm_time,
-            n_events=n_events,
+            n_events=len(kinds),
         )
 
 
-#: event kinds of a :class:`ReplayProgram` (the kernel's enum)
-COMPUTE, SEND, RECV, COLLECTIVE, RECV_MISMATCH = range(5)
+#: the kernel's extra event kind: a recv whose matched send has
+#: another size (an error once the replay reaches it)
+RECV_MISMATCH = COLLECTIVE + 1
 
 
 @dataclass(frozen=True)
@@ -372,105 +383,13 @@ class ReplayProgram:
     n_sends: int
     #: distinct recv sizes, bytes
     sizes: np.ndarray
-    #: distinct collective ``(op, nbytes)`` specs
+    #: distinct collective ``(op, nbytes)`` specs, in order of first appearance
     specs: Tuple[Tuple[str, int], ...]
 
 
-def _record(job: Job):
-    """One pass over the events into typed buffers (no per-event objects)."""
-    kinds, args, counts = array("b"), array("i"), array("q")
-    send_tags, recv_tags = array("q"), array("q")
-    specs: Dict[Tuple[str, int], int] = {}
-    offsets = np.zeros(job.n_ranks + 1, dtype=np.int64)
-    kind, arg, count = kinds.append, args.append, counts.append
-    send_tag, recv_tag = send_tags.append, recv_tags.append
-    for script in job.scripts:
-        for ev in script.events:
-            cls = type(ev)
-            if cls is ComputeEvent:
-                kind(COMPUTE)
-                arg(ev.block_id)
-                count(ev.iterations)
-            elif cls is SendEvent:
-                kind(SEND)
-                arg(ev.dest)
-                count(ev.nbytes)
-                send_tag(ev.tag)
-            elif cls is RecvEvent:
-                kind(RECV)
-                arg(ev.src)
-                count(ev.nbytes)
-                recv_tag(ev.tag)
-            elif cls is CollectiveEvent:
-                kind(COLLECTIVE)
-                arg(specs.setdefault((ev.op, ev.nbytes), len(specs)))
-                count(0)
-            else:
-                raise TypeError(f"unknown event type {cls!r}")
-        offsets[script.rank + 1] = len(kinds)
-    return kinds, args, counts, send_tags, recv_tags, offsets, tuple(specs)
-
-
-def _match(send_key: np.ndarray, recv_key: np.ndarray) -> np.ndarray:
-    """Per recv, the ordinal of the send it receives (-1: none).
-
-    The k-th recv on a key takes the k-th send on it: a stable sort by
-    key keeps each key's events in program order.  Sorts both key
-    arrays in place.
-    """
-    send_order = np.argsort(send_key, kind="stable")
-    send_key.sort()
-    recv_order = np.argsort(recv_key, kind="stable")
-    recv_key.sort()
-    # the sorted position of a recv's send: the key's first send plus
-    # the recv's ordinal among the key's recvs
-    pos = np.searchsorted(send_key, recv_key)
-    pos += np.arange(recv_key.size)
-    pos -= np.searchsorted(recv_key, recv_key)
-    hit = pos < np.searchsorted(send_key, recv_key, "right")
-    matched = np.full(recv_key.size, -1, dtype=np.int64)
-    matched[recv_order[hit]] = send_order[pos[hit]]
-    return matched
-
-
 def _compile(job: Job) -> ReplayProgram:
-    n = job.n_ranks
-    kinds, args, counts, send_tags, recv_tags, offsets, specs = _record(job)
-    kind = np.frombuffer(kinds, dtype=np.int8)
-    arg = np.frombuffer(args, dtype=np.int32)
-    count = np.frombuffer(counts, dtype=np.int64)
-    sends = np.flatnonzero(kind == SEND)
-    recvs = np.flatnonzero(kind == RECV)
-
-    # (src, dest, tag) of every send and recv; a peer outside the job
-    # can never match, so every such peer becomes the spare value n
-    tags = [np.frombuffer(t, dtype=np.int64) for t in (send_tags, recv_tags)]
-    del send_tags, recv_tags
-    keys = [
-        (np.searchsorted(offsets, sends, "right") - 1,
-         np.minimum(arg[sends], n, dtype=np.int64), tags[0]),
-        (np.minimum(arg[recvs], n, dtype=np.int64),
-         np.searchsorted(offsets, recvs, "right") - 1, tags[1]),
-    ]
-    del tags
-    lo = min(int(t.min(initial=0)) for _, _, t in keys)
-    span = max(int(t.max(initial=0)) for _, _, t in keys) - lo + 1
-    base = n + 1
-    if base * base * span < 1 << 63:  # pack into one int64
-        for i, (src, dest, tag) in enumerate(keys):
-            src *= base
-            src += dest
-            src *= span
-            src += tag
-            src -= lo
-            keys[i] = src
-    else:  # too wide: number the distinct triples
-        dense = np.unique(
-            np.hstack([np.stack(k) for k in keys]), axis=1, return_inverse=True
-        )[1].reshape(-1)
-        keys = [dense[: sends.size], dense[sends.size:]]
-    matched = _match(*keys)
-    del keys
+    sends, recvs, matched = match_messages(job)
+    kind, arg, count = job.kind.copy(), job.arg.copy(), job.count.copy()
 
     recv_bytes = count[recvs]
     mismatch = matched >= 0
@@ -480,15 +399,30 @@ def _compile(job: Job) -> ReplayProgram:
     arg[sends] = np.arange(sends.size)
     arg[recvs] = matched
     sizes, count[recvs] = np.unique(recv_bytes, return_inverse=True)
+    del recv_bytes
+
+    colls = np.flatnonzero(kind == COLLECTIVE)
+    distinct, first, inverse = np.unique(
+        np.stack([arg[colls], count[colls]]),
+        axis=1, return_index=True, return_inverse=True,
+    )
+    order = np.argsort(first)  # number the specs by first appearance
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    arg[colls] = number[inverse.reshape(-1)]
+    count[colls] = 0
     return ReplayProgram(
-        n_ranks=n,
-        offsets=offsets,
+        n_ranks=job.n_ranks,
+        offsets=job.offsets,
         kind=kind,
         arg=arg,
         count=count,
         n_sends=int(sends.size),
         sizes=sizes,
-        specs=specs,
+        specs=tuple(
+            (COLLECTIVE_OPS[op], nbytes)
+            for op, nbytes in distinct[:, order].T.tolist()
+        ),
     )
 
 
@@ -507,19 +441,18 @@ def compile_job(job: Job) -> ReplayProgram:
 def _kernel_error(job: Job, prog: ReplayProgram, status: int, pc, err):
     """The exception :class:`ReplayEngine` raises at the same event."""
     if status == 1:
-        return _deadlock(job, (pc - prog.offsets[:-1]).tolist())
+        return _deadlock(job, pc.tolist())
     rank = int(err[0])
-    at = int(pc[rank] - prog.offsets[rank])
-    events = job.scripts[rank].events
-    ev = events[at]
+    i = int(pc[rank])
+    nbytes = int(job.count[i])
     if status == 2:
-        send = np.flatnonzero(prog.kind == SEND)[prog.arg[pc[rank]]]
+        send = np.flatnonzero(job.kind == SEND)[prog.arg[i]]
         return _size_mismatch(
-            (ev.src, rank, ev.tag), int(prog.count[send]), ev.nbytes
+            (int(job.arg[i]), rank, int(job.tag[i])), int(job.count[send]), nbytes
         )
-    idx = sum(isinstance(e, CollectiveEvent) for e in events[:at])
+    idx = int(np.count_nonzero(job.kind[job.offsets[rank]:i] == COLLECTIVE))
     return _collective_mismatch(
-        idx, rank, (ev.op, ev.nbytes), prog.specs[int(err[1])]
+        idx, rank, (COLLECTIVE_OPS[job.arg[i]], nbytes), prog.specs[int(err[1])]
     )
 
 

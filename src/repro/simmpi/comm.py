@@ -6,19 +6,27 @@ in for, with one addition: :meth:`SimComm.compute` marks a computation
 phase (``iterations`` of a named basic block) — the "work done on the
 processor in between communication events" the PMaC computation model
 covers (§III).
+
+Each call appends one event straight into typed buffers in the
+encoding of :mod:`repro.simmpi.runtime`; a value the encoding cannot
+hold (a tag outside int64, say) raises here, at the call.
 """
 
 from __future__ import annotations
 
-from typing import List
+from array import array
 
-from repro.simmpi.events import (
-    CollectiveEvent,
-    ComputeEvent,
-    Event,
-    RecvEvent,
-    SendEvent,
+from repro.simmpi.runtime import (
+    BUFFER_TYPES,
+    COLLECTIVE,
+    COLLECTIVE_OPS,
+    COMPUTE,
+    RECV,
+    SEND,
 )
+from repro.util.validation import check_in_range
+
+_OP = {op: i for i, op in enumerate(COLLECTIVE_OPS)}
 
 
 class SimComm:
@@ -28,6 +36,10 @@ class SimComm:
     ----------
     rank, size:
         This process's rank and the communicator size.
+
+    The recorded events are ``kind``, ``arg``, ``count`` and ``tag``
+    (``array.array`` buffers, one entry per event; see
+    :class:`~repro.simmpi.runtime.Job`).
     """
 
     def __init__(self, rank: int, size: int):
@@ -37,7 +49,14 @@ class SimComm:
             raise ValueError(f"rank {rank} out of range for size {size}")
         self.rank = rank
         self.size = size
-        self.events: List[Event] = []
+        self.buffers = tuple(array(t) for t in BUFFER_TYPES)
+        self.kind, self.arg, self.count, self.tag = self.buffers
+
+    def _record(self, kind: int, arg: int, count: int, tag: int) -> None:
+        self.kind.append(kind)
+        self.arg.append(arg)
+        self.count.append(count)
+        self.tag.append(tag)
 
     # -- introspection (mpi4py-style) -----------------------------------
 
@@ -50,9 +69,14 @@ class SimComm:
     # -- computation phases ---------------------------------------------
 
     def compute(self, block_id: int, iterations: int) -> None:
-        """Record ``iterations`` executions of basic block ``block_id``."""
+        """Record ``iterations`` executions of basic block ``block_id``.
+
+        Zero iterations record nothing; a negative count raises.
+        """
         if iterations > 0:
-            self.events.append(ComputeEvent(block_id=block_id, iterations=iterations))
+            self._record(COMPUTE, block_id, iterations, 0)
+        else:
+            check_in_range("iterations", iterations, low=0)
 
     # -- point-to-point ---------------------------------------------------
 
@@ -61,14 +85,18 @@ class SimComm:
             raise ValueError(f"send dest {dest} out of range (size {self.size})")
         if dest == self.rank:
             raise ValueError("self-sends are not modeled")
-        self.events.append(SendEvent(dest=dest, nbytes=nbytes, tag=tag))
+        if nbytes < 0:
+            check_in_range("nbytes", nbytes, low=0)
+        self._record(SEND, dest, nbytes, tag)
 
     def recv(self, src: int, nbytes: int, tag: int = 0) -> None:
         if not 0 <= src < self.size:
             raise ValueError(f"recv src {src} out of range (size {self.size})")
         if src == self.rank:
             raise ValueError("self-receives are not modeled")
-        self.events.append(RecvEvent(src=src, nbytes=nbytes, tag=tag))
+        if nbytes < 0:
+            check_in_range("nbytes", nbytes, low=0)
+        self._record(RECV, src, nbytes, tag)
 
     def sendrecv(
         self, dest: int, send_bytes: int, src: int, recv_bytes: int, tag: int = 0
@@ -79,20 +107,25 @@ class SimComm:
 
     # -- collectives ------------------------------------------------------
 
+    def _collective(self, op: str, nbytes: int) -> None:
+        if nbytes < 0:
+            check_in_range("nbytes", nbytes, low=0)
+        self._record(COLLECTIVE, _OP[op], nbytes, 0)
+
     def barrier(self) -> None:
-        self.events.append(CollectiveEvent(op="barrier"))
+        self._collective("barrier", 0)
 
     def allreduce(self, nbytes: int) -> None:
-        self.events.append(CollectiveEvent(op="allreduce", nbytes=nbytes))
+        self._collective("allreduce", nbytes)
 
     def reduce(self, nbytes: int) -> None:
-        self.events.append(CollectiveEvent(op="reduce", nbytes=nbytes))
+        self._collective("reduce", nbytes)
 
     def broadcast(self, nbytes: int) -> None:
-        self.events.append(CollectiveEvent(op="broadcast", nbytes=nbytes))
+        self._collective("broadcast", nbytes)
 
     def alltoall(self, nbytes_per_rank: int) -> None:
-        self.events.append(CollectiveEvent(op="alltoall", nbytes=nbytes_per_rank))
+        self._collective("alltoall", nbytes_per_rank)
 
     def allgather(self, nbytes_per_rank: int) -> None:
-        self.events.append(CollectiveEvent(op="allgather", nbytes=nbytes_per_rank))
+        self._collective("allgather", nbytes_per_rank)

@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.instrument.program import BasicBlockSpec, Program
-from repro.simmpi.events import ComputeEvent
-from repro.simmpi.runtime import Job
+from repro.simmpi.runtime import COMPUTE, Job
 
 #: Nominal base-system costs used only for ranking tasks.
 _NOMINAL_MEM_NS = 4.0
@@ -74,27 +75,39 @@ def profile_job(
         from its lowest rank's program.  Default: every rank alone.
         Each rank still sums its own compute events in its own order.
     """
+    n = job.n_ranks
     if equivalence_classes is None:
-        equivalence_classes = [[r] for r in range(job.n_ranks)]
-    compute_times: Dict[int, float] = {}
-    for cls in equivalence_classes:
-        program = program_for_rank(min(cls))
-        cost_cache: Dict[int, float] = {}
-        for rank in cls:
-            total_ns = 0.0
-            for ev in job.scripts[rank].events:
-                if not isinstance(ev, ComputeEvent):
-                    continue
-                if ev.block_id not in cost_cache:
-                    cost_cache[ev.block_id] = _block_iteration_cost_ns(
-                        program.block(ev.block_id)
-                    )
-                total_ns += cost_cache[ev.block_id] * ev.iterations
-            compute_times[rank] = total_ns * 1e-9
-    if sorted(compute_times) != list(range(job.n_ranks)):
+        equivalence_classes = [[r] for r in range(n)]
+    if sorted(r for cls in equivalence_classes for r in cls) != list(range(n)):
         raise ValueError("equivalence classes must partition all ranks")
+    computes = np.flatnonzero(job.kind == COMPUTE)
+    class_of = np.empty(n, dtype=np.int64)
+    for i, cls in enumerate(equivalence_classes):
+        class_of[list(cls)] = i
+    # every (class, block) pair priced once, pairs sorted by class
+    blocks, block_inverse = np.unique(job.arg[computes], return_inverse=True)
+    pairs, pair_inverse = np.unique(
+        class_of[job.ranks_of(computes)] * blocks.size + block_inverse,
+        return_inverse=True,
+    )
+    bounds = np.searchsorted(
+        pairs, np.arange(len(equivalence_classes) + 1) * blocks.size
+    ).tolist()
+    per_iteration = np.empty(pairs.size)
+    for i, cls in enumerate(equivalence_classes):
+        program = program_for_rank(min(cls))
+        for p in range(bounds[i], bounds[i + 1]):
+            block = program.block(int(blocks[pairs[p] % blocks.size]))
+            per_iteration[p] = _block_iteration_cost_ns(block)
+    costs = per_iteration[pair_inverse] * job.count[computes]
+    # each rank sums its own events left to right (cumsum is sequential)
+    starts = np.searchsorted(computes, job.offsets).tolist()
+    totals_ns = np.zeros(n)
+    for rank in range(n):
+        if starts[rank] < starts[rank + 1]:
+            totals_ns[rank] = np.cumsum(costs[starts[rank]:starts[rank + 1]])[-1]
     return LightweightProfile(
         app=job.app,
-        n_ranks=job.n_ranks,
-        compute_times_s={r: compute_times[r] for r in range(job.n_ranks)},
+        n_ranks=n,
+        compute_times_s=dict(enumerate((totals_ns * 1e-9).tolist())),
     )

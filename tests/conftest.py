@@ -8,6 +8,9 @@ real code paths end-to-end.
 
 from __future__ import annotations
 
+import hashlib
+
+import numpy as np
 import pytest
 
 from repro.apps.jacobi import JacobiParams, JacobiProxy
@@ -36,6 +39,15 @@ FAST_COLLECTOR = CollectorConfig(
 )
 
 FAST_SETTINGS = CollectionSettings(ranks="slowest", collector=FAST_COLLECTOR)
+
+
+def program_digest(prog) -> str:
+    """SHA-256 over a compiled replay program's arrays and specs."""
+    h = hashlib.sha256()
+    for a in (prog.offsets, prog.kind, prog.arg, prog.count, prog.sizes):
+        h.update(np.ascontiguousarray(a).tobytes())
+    h.update(repr((prog.n_sends, prog.specs)).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="session")

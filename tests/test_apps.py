@@ -10,7 +10,7 @@ from repro.apps.registry import get_app
 from repro.apps.specfem3d import SpecFEM3DProxy, SpecFEMParams
 from repro.apps.uh3d import UH3DParams, UH3DProxy
 from repro.simmpi.profiler import profile_job
-from repro.simmpi.runtime import verify_job
+from repro.simmpi.runtime import COMPUTE, verify_job
 
 
 class TestFactor3:
@@ -127,9 +127,14 @@ class TestProxyContracts:
             for rank in (0, p - 1):
                 program = app.rank_program(rank, p)
                 totals = {}
-                for ev in job.script(rank).compute_events():
-                    program.block(ev.block_id)  # raises if missing
-                    totals[ev.block_id] = totals.get(ev.block_id, 0) + ev.iterations
+                events = job.events_of(rank)
+                computes = job.kind[events] == COMPUTE
+                for block, iterations in zip(
+                    job.arg[events][computes].tolist(),
+                    job.count[events][computes].tolist(),
+                ):
+                    program.block(block)  # raises if missing
+                    totals[block] = totals.get(block, 0) + iterations
                 for bid, total in totals.items():
                     assert program.block(bid).exec_count == total
 
@@ -158,8 +163,8 @@ class TestProxyContracts:
         a1, a2 = app_factory(), app_factory()
         p = counts[0]
         j1, j2 = a1.build_job(p), a2.build_job(p)
-        for s1, s2 in zip(j1.scripts, j2.scripts):
-            assert s1.events == s2.events
+        for name in ("offsets", "kind", "arg", "count", "tag"):
+            assert np.array_equal(getattr(j1, name), getattr(j2, name))
 
 
 class TestProfileByClass:

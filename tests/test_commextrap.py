@@ -8,14 +8,37 @@ from repro.apps.uh3d import UH3DParams, UH3DProxy
 from repro.commextrap.stanza import Stanza, compress_script, stanza_signature
 from repro.commextrap.synthesize import CommExtrapolationError, extrapolate_job
 from repro.commextrap.topology import InferredTopology, infer_topology
-from repro.simmpi.events import (
-    BarrierEvent,
-    CollectiveEvent,
-    ComputeEvent,
-    RecvEvent,
-    SendEvent,
+from repro.psins.replay import compile_job
+from tests.conftest import program_digest
+from repro.simmpi.runtime import (
+    COLLECTIVE,
+    COMPUTE,
+    RECV,
+    SEND,
+    run_job,
+    verify_job,
 )
-from repro.simmpi.runtime import Job, RankScript, run_job, verify_job
+
+
+def one_rank_job(record):
+    """A 2-rank job whose rank 0 runs ``record(comm)`` (rank 1 idles)."""
+
+    def fn(comm):
+        if comm.rank == 0:
+            record(comm)
+
+    return run_job("x", 2, fn)
+
+
+def rank_events(job, rank, kind):
+    """``(arg, count, tag)`` of one rank's events of one kind."""
+    events = job.events_of(rank)
+    mask = job.kind[events] == kind
+    return list(zip(
+        job.arg[events][mask].tolist(),
+        job.count[events][mask].tolist(),
+        job.tag[events][mask].tolist(),
+    ))
 
 
 @pytest.fixture(scope="module")
@@ -80,46 +103,53 @@ class TestTopologyInference:
 
 class TestStanza:
     def test_period_detected(self):
-        step = [
-            ComputeEvent(block_id=0, iterations=100),
-            SendEvent(dest=1, nbytes=64, tag=0),
-            RecvEvent(src=1, nbytes=64, tag=0),
-            BarrierEvent(),
-        ]
-        stanza = compress_script(0, step * 5)
+        def step(comm):
+            comm.compute(0, 100)
+            comm.send(1, 64, tag=0)
+            comm.recv(1, 64, tag=0)
+            comm.barrier()
+
+        def steps(comm):
+            for _ in range(5):
+                step(comm)
+
+        stanza = compress_script(one_rank_job(steps), 0)
         assert stanza.repeats == 5
         assert stanza.n_slots == 4
-        assert stanza.signature() == stanza_signature(step)
+        assert stanza.signature() == stanza_signature(one_rank_job(step), 0)
+        assert stanza.signature() == (
+            (COMPUTE, 0), (SEND, 0), (RECV, 0), (COLLECTIVE, 0)
+        )
         assert stanza.is_stationary(0)
 
     def test_non_repeating_collapses_to_one_period(self):
-        events = [
-            ComputeEvent(block_id=0, iterations=1),
-            ComputeEvent(block_id=1, iterations=2),
-            ComputeEvent(block_id=0, iterations=3),
-        ]
-        stanza = compress_script(0, events)
+        def fn(comm):
+            comm.compute(0, 1)
+            comm.compute(1, 2)
+            comm.compute(0, 3)
+
+        stanza = compress_script(one_rank_job(fn), 0)
         assert stanza.repeats == 1
         assert stanza.n_slots == 3
 
     def test_scalar_series_tracked(self):
-        events = [
-            ComputeEvent(block_id=0, iterations=10),
-            ComputeEvent(block_id=0, iterations=20),
-        ]
-        stanza = compress_script(0, events)
+        def fn(comm):
+            comm.compute(0, 10)
+            comm.compute(0, 20)
+
+        stanza = compress_script(one_rank_job(fn), 0)
         # block ids equal -> period 1 with varying scalar
         assert stanza.repeats == 2
         assert stanza.scalars[0] == [10.0, 20.0]
         assert not stanza.is_stationary(0)
 
     def test_empty_script(self):
-        stanza = compress_script(3, [])
+        stanza = compress_script(one_rank_job(lambda comm: None), 1)
         assert stanza.repeats == 0 and stanza.n_slots == 0
 
     def test_real_app_script_compresses(self, jacobi):
         job = jacobi.build_job(8)
-        stanza = compress_script(0, job.script(0).events)
+        stanza = compress_script(job, 0)
         assert stanza.repeats == jacobi.params.n_steps
 
 
@@ -133,9 +163,7 @@ class TestSynthesis:
         # compare event structure rank by rank
         mismatches = 0
         for rank in range(512):
-            if stanza_signature(synth.script(rank).events) != stanza_signature(
-                truth.script(rank).events
-            ):
+            if stanza_signature(synth, rank) != stanza_signature(truth, rank):
                 mismatches += 1
         assert mismatches == 0
 
@@ -151,32 +179,26 @@ class TestSynthesis:
         from repro.apps.jacobi import BLOCK_HALO_PACK
 
         for rank in (0, 100, 511):
-            for ev_s, ev_t in zip(
-                synth.script(rank).events, truth.script(rank).events
+            s_ev, t_ev = synth.events_of(rank), truth.events_of(rank)
+            for kind, block, n_s, n_t in zip(
+                synth.kind[s_ev].tolist(),
+                synth.arg[s_ev].tolist(),
+                synth.count[s_ev].tolist(),
+                truth.count[t_ev].tolist(),
             ):
-                if isinstance(ev_s, ComputeEvent):
-                    rel = 0.15 if ev_s.block_id == BLOCK_HALO_PACK else 0.02
-                    assert ev_s.iterations == pytest.approx(
-                        ev_t.iterations, rel=rel
-                    )
-                elif isinstance(ev_s, (SendEvent, RecvEvent)):
-                    assert ev_s.nbytes == pytest.approx(ev_t.nbytes, rel=0.15)
+                if kind == COMPUTE:
+                    rel = 0.15 if block == BLOCK_HALO_PACK else 0.02
+                    assert n_s == pytest.approx(n_t, rel=rel)
+                elif kind in (SEND, RECV):
+                    assert n_s == pytest.approx(n_t, rel=0.15)
 
     def test_jacobi_partners_exact(self, jacobi):
         training = [jacobi.build_job(p) for p in (64, 128, 256)]
         synth = extrapolate_job(training, 512)
         truth = jacobi.build_job(512)
         for rank in range(0, 512, 37):
-            sends_s = [
-                (e.dest, e.tag)
-                for e in synth.script(rank).events
-                if isinstance(e, SendEvent)
-            ]
-            sends_t = [
-                (e.dest, e.tag)
-                for e in truth.script(rank).events
-                if isinstance(e, SendEvent)
-            ]
+            sends_s = [(d, t) for d, _, t in rank_events(synth, rank, SEND)]
+            sends_t = [(d, t) for d, _, t in rank_events(truth, rank, SEND)]
             assert sorted(sends_s) == sorted(sends_t)
 
     def test_uh3d_periodic_extrapolates(self, uh3d):
@@ -185,10 +207,29 @@ class TestSynthesis:
         verify_job(synth)
         assert synth.n_ranks == 512
         # particle-exchange recv sizes were reconciled against sends
-        for script in synth.scripts[:32]:
-            for ev in script.events:
-                if isinstance(ev, RecvEvent):
-                    assert ev.nbytes >= 0
+        for rank in range(32):
+            for src, nbytes, tag in rank_events(synth, rank, RECV):
+                sent = [
+                    b for d, b, t in rank_events(synth, src, SEND)
+                    if d == rank and t == tag
+                ]
+                assert nbytes in sent
+
+    @pytest.mark.parametrize(
+        "proxy,digest",
+        [
+            ("jacobi",
+             "749cc6e96c9d37b33b850e81364811799aac8c6891f98a665e823d85c35e3a22"),
+            ("uh3d",
+             "fb5406237a4eb8d4e6414cbe09bb3db69046489d5221f1c51e36bf64115043a6"),
+        ],
+    )
+    def test_synthesized_program_pinned(self, proxy, digest, request):
+        """The synthesized 512-rank job, compiled for replay, is pinned
+        to a digest recorded when jobs were lists of event objects."""
+        app = request.getfixturevalue(proxy)
+        synth = extrapolate_job([app.build_job(p) for p in (64, 128, 256)], 512)
+        assert program_digest(compile_job(synth)) == digest
 
     def test_needs_two_jobs(self, jacobi):
         with pytest.raises(CommExtrapolationError):

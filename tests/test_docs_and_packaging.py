@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,6 +103,31 @@ class TestDocs:
         ):
             assert pkg.split(".")[1] in design, f"DESIGN.md misses {pkg}"
 
+    def test_design_md_layout_matches_the_tree(self):
+        """DESIGN §8's layout block names every module, and only those."""
+        design = (SRC.parent.parent / "DESIGN.md").read_text()
+        section = design.split("## 8. Repository layout", 1)[1]
+        block = section.split("```")[1].splitlines()
+        named = set()
+        for line in block:
+            words = line.split()
+            if not words or words[0] in (
+                "src/repro/", "tests/", "benchmarks/", "examples/"
+            ):
+                continue
+            if words[0].endswith("/"):  # a package and its modules
+                named.update(words[0] + name for name in words[1:])
+            else:  # top-level modules
+                named.update(words)
+        for name in named:
+            assert (SRC / name).is_file(), f"DESIGN.md names missing {name}"
+        modules = {
+            str(path.relative_to(SRC))
+            for path in SRC.rglob("*.py")
+            if path.name != "__init__.py"
+        }
+        assert modules - named == set(), "DESIGN.md layout misses modules"
+
     def test_experiments_md_covers_every_table_and_figure(self):
         text = (SRC.parent.parent / "EXPERIMENTS.md").read_text()
         for artifact in (
@@ -112,3 +140,36 @@ class TestDocs:
             "Figure 5",
         ):
             assert artifact in text, f"EXPERIMENTS.md misses {artifact}"
+
+
+def _modules_after(code):
+    """Run ``code`` in a fresh interpreter; return its sys.modules."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=env, timeout=120,
+    )
+    return set(out.stdout.split())
+
+
+class TestImportCost:
+    """scipy.optimize (about half a second to import) loads only where a
+    bandwidth surface is fitted, so the CLI and forked workers that never
+    fit do not pay for it."""
+
+    def test_cli_import_and_list_skip_scipy_optimize(self):
+        assert "scipy.optimize" not in _modules_after("import repro.cli")
+        listed = _modules_after(
+            "import contextlib, io\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['list']) == 0"
+        )
+        assert "repro.cli" in listed and "scipy.optimize" not in listed
+
+    def test_building_a_machine_loads_it(self):
+        built = _modules_after(
+            "from repro.machine.systems import get_machine\n"
+            "get_machine('system_a', accesses_per_probe=2000)"
+        )
+        assert "scipy.optimize" in built

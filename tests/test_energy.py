@@ -7,7 +7,7 @@ from repro.energy.dvfs import DvfsPlan, plan_dvfs
 from repro.energy.power import EnergyModel, PowerParameters
 from repro.psins.convolution import ComputationModel
 from repro.psins.replay import UniformTimer, replay_job
-from repro.simmpi.runtime import run_job
+from repro.simmpi.runtime import COMPUTE, run_job
 from repro.trace.features import FeatureSchema
 from repro.trace.records import BasicBlockRecord, InstructionRecord, SourceLocation
 from repro.trace.tracefile import TraceFile
@@ -100,6 +100,30 @@ class TestPowerModel:
         assert result.compute_energy_j > 0
         assert result.idle_energy_j >= 0
         assert result.total_energy_j >= result.compute_energy_j
+
+    def test_job_energy_sums_events_in_order(self, energy_model, bw_machine):
+        def fn(comm):
+            for step in range(3):
+                comm.compute(0, 100 + 37 * comm.rank + step)
+                comm.compute(1, 11 * (comm.rank + 1))
+                comm.allreduce(8)
+
+        job = run_job("e", 5, fn)
+        timer = UniformTimer(energy_model.computation.iteration_time_s)
+        replay = replay_job(job, timer, bw_machine.network)
+        result = energy_model.job_energy(job, replay)
+        # reference: one running sum over every compute event, in order
+        energy = busy = 0.0
+        for kind, block, iterations in zip(
+            job.kind.tolist(), job.arg.tolist(), job.count.tolist()
+        ):
+            if kind == COMPUTE:
+                dt = energy_model.computation.iteration_time_s(block)
+                energy += dt * iterations * energy_model.block_power_w(block)
+                busy += dt * iterations
+        assert result.compute_energy_j == energy
+        idle = max(0.0, replay.runtime_s * 5 - busy)
+        assert result.idle_energy_j == idle * energy_model.power.static_w
 
     def test_imbalance_raises_idle_energy(self, energy_model, bw_machine):
         def balanced(comm):

@@ -29,8 +29,8 @@ from repro.psins.replay import (
     compile_job,
     replay_job,
 )
-from repro.simmpi.events import RecvEvent, SendEvent
-from repro.simmpi.runtime import Job, RankScript, run_job
+from repro.simmpi.runtime import RECV, SEND, Job, run_job
+from tests.conftest import program_digest
 
 needs_kernel = pytest.mark.skipif(
     kernel.replay_kernel() is None, reason="no compiled replay kernel"
@@ -416,6 +416,27 @@ class TestRealApps:
         assert job.compiled is program
 
 
+class TestCompiledGolden:
+    """``compile_job`` output pinned to digests recorded when jobs were
+    still lists of event objects: the array-native job compiles to the
+    same program, array for array."""
+
+    @pytest.mark.parametrize(
+        "app,n_ranks,digest",
+        [
+            ("jacobi", 16,
+             "ae021ad1095be28d48fa777eaef37ddc0a13e41987eac8282d0c1015f3d83e60"),
+            ("specfem3d", 96,
+             "9d7afa0c6f19142d0f9b72896e36e742a975292443626050f1c4583511c389f5"),
+            ("uh3d", 1024,
+             "db6d4cb8ccc3795d1a66a9fa9497740bb29dddac4921564f81eb5b0e85fa5d89"),
+        ],
+    )
+    def test_program_digest(self, app, n_ranks, digest):
+        prog = compile_job(get_app(app).build_job(n_ranks))
+        assert program_digest(prog) == digest
+
+
 @pytest.mark.usefixtures("python_backend")
 class TestRealAppsPython(TestRealApps):
     def test_compile_is_shared_by_replays(self):
@@ -501,12 +522,12 @@ class TestGeneratedJobsPython(TestGeneratedJobs):
 
 
 def _job(*scripts):
-    """A job from literal per-rank event lists (no SimComm checks)."""
-    return Job(
-        app="lit",
-        n_ranks=len(scripts),
-        scripts=[RankScript(rank=r, events=list(s)) for r, s in enumerate(scripts)],
-    )
+    """A job from literal per-rank ``(kind, arg, count, tag)`` event
+    lists (no SimComm checks: peers outside the job, self-messages)."""
+    events = [ev for script in scripts for ev in script]
+    kind, arg, count, tag = zip(*events) if events else ([],) * 4
+    offsets = np.cumsum([0] + [len(script) for script in scripts])
+    return Job("lit", len(scripts), offsets, kind, arg, count, tag)
 
 
 class TestErrorPaths:
@@ -524,7 +545,7 @@ class TestErrorPaths:
             comm.send(other, 8)
 
         message = self.check(run_job("dead", 2, fn), ReplayDeadlockError)
-        assert "rank 0 at event 0/2 (RecvEvent)" in message
+        assert "rank 0 at event 0/2 (recv)" in message
 
     def test_deadlock_in_a_collective_after_others_finished(self):
         def fn(comm):
@@ -535,10 +556,10 @@ class TestErrorPaths:
                 comm.recv(0, 8, tag=5)  # never sent
 
         message = self.check(run_job("stuck", 7, fn), ReplayDeadlockError)
-        assert "with 4 rank(s)" in message and "CollectiveEvent" in message
+        assert "with 4 rank(s)" in message and "(collective)" in message
 
     def test_recv_from_outside_the_job(self):
-        self.check(_job([RecvEvent(src=9, nbytes=4)], []), ReplayDeadlockError)
+        self.check(_job([(RECV, 9, 4, 0)], []), ReplayDeadlockError)
 
     def test_size_mismatch(self):
         def fn(comm):
@@ -593,10 +614,10 @@ class TestErrorPaths:
             comm.compute(0, 5)
 
         same_outcome(run_job("orphan", 2, fn), FixedTimer())
-        same_outcome(_job([SendEvent(dest=7, nbytes=4)]), FixedTimer())
+        same_outcome(_job([(SEND, 7, 4, 0)]), FixedTimer())
 
     def test_self_message(self):
-        job = _job([SendEvent(dest=0, nbytes=4), RecvEvent(src=0, nbytes=4)])
+        job = _job([(SEND, 0, 4, 0), (RECV, 0, 4, 0)])
         same_outcome(job, FixedTimer())
 
 
@@ -630,9 +651,8 @@ class TestMemory:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        n_events = sum(len(s.events) for s in job.scripts)
-        assert program.kind.size == n_events
-        assert retained <= 16 * n_events
+        assert program.kind.size == job.kind.size
+        assert retained <= 16 * job.kind.size
 
     def test_compile_and_replay_peak_below_python_engine(self, job):
         timer = UniformTimer(lambda b: (b + 1) * 1e-6)
