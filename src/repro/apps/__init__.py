@@ -3,8 +3,9 @@
 Real SPECFEM3D_GLOBE and UH3D runs at 96–8192 cores are not available
 here; these proxies stand in for them (see DESIGN.md's substitution
 table).  Each proxy derives per-rank programs (basic blocks with access
-patterns and op counts) and event scripts (halo exchanges, collectives)
-from an explicit domain decomposition, so *how every feature scales with
+patterns and op counts) and every rank's events (halo exchanges,
+collectives), as numpy columns over all ranks, from an explicit domain
+decomposition, so *how every feature scales with
 core count is an emergent property of the decomposition*, not something
 hand-coded to match a canonical form — the extrapolation is fitted
 against honest curves.

@@ -9,15 +9,15 @@ proxies do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
-from repro.apps.base import AppModel, ScalingMode
-from repro.apps.decomposition import CartesianDecomposition
+import numpy as np
+
+from repro.apps.base import AppModel, Column, ScalingMode, exchange
 from repro.instrument.builder import ProgramBuilder
 from repro.instrument.program import Program
 from repro.memstream.patterns import StencilPattern, StridedPattern
-from repro.simmpi.comm import SimComm
+from repro.simmpi.runtime import COLLECTIVE, COLLECTIVE_OPS, COMPUTE, RECV, SEND
 
 #: Block ids (stable across core counts, as extrapolation requires).
 BLOCK_SWEEP = 0
@@ -52,18 +52,8 @@ class JacobiProxy(AppModel):
 
     # ------------------------------------------------------------------
 
-    @lru_cache(maxsize=32)
-    def decomposition(self, n_ranks: int) -> CartesianDecomposition:
-        if self.scaling is ScalingMode.STRONG:
-            cells = self.params.global_cells
-        else:
-            from repro.apps.decomposition import factor3
-
-            grid = factor3(n_ranks)
-            cells = tuple(
-                c * g for c, g in zip(self.params.weak_cells_per_rank, grid)
-            )
-        return CartesianDecomposition(cells, n_ranks)
+    def domain(self):
+        return self.params.global_cells, self.params.weak_cells_per_rank
 
     def rank_program(self, rank: int, n_ranks: int) -> Program:
         geom = self.decomposition(n_ranks).geometry(rank)
@@ -97,20 +87,15 @@ class JacobiProxy(AppModel):
             .build()
         )
 
-    def rank_script(self, comm: SimComm) -> None:
-        geom = self.decomposition(comm.size).geometry(comm.rank)
-        n_cells = geom.n_cells
-        for _step in range(self.params.n_steps):
-            comm.compute(BLOCK_SWEEP, n_cells)
-            comm.compute(BLOCK_HALO_PACK, max(geom.halo_cells(), 1))
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _BYTES_PER_CELL
-                comm.send(neighbor, nbytes, tag=dim)
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _BYTES_PER_CELL
-                comm.recv(neighbor, nbytes, tag=dim)
-            comm.compute(BLOCK_RESIDUAL, n_cells)
-            comm.allreduce(8)
-
-    def equivalence_classes(self, n_ranks: int) -> List[List[int]]:
-        return self.decomposition(n_ranks).equivalence_classes()
+    def time_step(self, n_ranks: int) -> List[Column]:
+        geo = self.decomposition(n_ranks).rows()
+        n_cells = geo.n_cells
+        nbytes = geo.face_cells * _BYTES_PER_CELL
+        return [
+            Column(COMPUTE, BLOCK_SWEEP, n_cells),
+            Column(COMPUTE, BLOCK_HALO_PACK, np.maximum(geo.halo_cells, 1)),
+            *exchange(SEND, geo.neighbors, nbytes),
+            *exchange(RECV, geo.neighbors, nbytes),
+            Column(COMPUTE, BLOCK_RESIDUAL, n_cells),
+            Column(COLLECTIVE, COLLECTIVE_OPS.index("allreduce"), 8),
+        ]

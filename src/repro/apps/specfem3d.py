@@ -32,15 +32,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
-from repro.apps.base import AppModel, ScalingMode
-from repro.apps.decomposition import CartesianDecomposition, factor3
+import numpy as np
+
+from repro.apps.base import AppModel, Column, ScalingMode, exchange
+from repro.apps.decomposition import Rows
 from repro.instrument.builder import ProgramBuilder
 from repro.instrument.program import Program
 from repro.memstream.patterns import BlockedPattern, GatherScatterPattern, StridedPattern
-from repro.simmpi.comm import SimComm
+from repro.simmpi.runtime import COLLECTIVE, COLLECTIVE_OPS, COMPUTE, RECV, SEND
 
 BLOCK_ELEMENT_KERNEL = 0
 BLOCK_UPDATE_VECTORS = 1
@@ -84,45 +85,31 @@ class SpecFEM3DProxy(AppModel):
         self.params = params
         self.scaling = scaling
 
-    @lru_cache(maxsize=32)
-    def decomposition(self, n_ranks: int) -> CartesianDecomposition:
-        if self.scaling is ScalingMode.STRONG:
-            elements = self.params.global_elements
-        else:
-            grid = factor3(n_ranks)
-            elements = tuple(
-                e * g for e, g in zip(self.params.weak_elements_per_rank, grid)
-            )
-        return CartesianDecomposition(elements, n_ranks)
+    def domain(self):
+        return self.params.global_elements, self.params.weak_elements_per_rank
 
     # ------------------------------------------------------------------
-    # per-step iteration counts (shared by program and script)
+    # per-step iteration counts of some ranks' rows (shared by program and job)
 
-    def _counts(self, rank: int, n_ranks: int) -> dict:
-        geom = self.decomposition(n_ranks).geometry(rank)
-        n_elements = geom.n_cells
-        n_points = n_elements * _POINTS_PER_ELEMENT
-        halo_points = geom.halo_cells() * _POINTS_PER_FACE
-        boundary_points = geom.boundary_cells() * _POINTS_PER_FACE
+    def _counts(self, geo: Rows, n_ranks: int) -> dict:
         tree_depth = max(1, math.ceil(math.log2(max(n_ranks, 2))))
         return {
-            "geom": geom,
-            "elements": n_elements,
-            "points": n_points,
-            "halo_points": halo_points,
-            "boundary_points": boundary_points,
-            "norm_iters": self.params.norm_buffer_points * tree_depth,
+            "elements": geo.n_cells,
+            "points": geo.n_cells * _POINTS_PER_ELEMENT,
+            "halo_points": geo.halo_cells * _POINTS_PER_FACE,
+            "boundary_points": geo.boundary_cells * _POINTS_PER_FACE,
+            "norm_iters": np.full(geo.ranks.size, self.params.norm_buffer_points * tree_depth),
         }
 
     def rank_program(self, rank: int, n_ranks: int) -> Program:
-        c = self._counts(rank, n_ranks)
+        geo = self.decomposition(n_ranks).rows([rank])
+        c = {k: int(v[0]) for k, v in self._counts(geo, n_ranks).items()}
         steps = self.params.n_steps
         element_bytes = max(c["elements"] * _BYTES_PER_ELEMENT, 4096)
         vector_bytes = max(c["points"] * _BYTES_PER_POINT, 4096)
         halo_bytes = max(c["halo_points"] * 8, 512)
         boundary_bytes = max(c["boundary_points"] * 8, 512)
         norm_bytes = self.params.norm_buffer_points * 8
-        nx, ny, _nz = c["geom"].local_cells
         return (
             ProgramBuilder(f"{self.name}-r{rank}-p{n_ranks}")
             # 1. dense element kernel: blocked reuse of element data
@@ -261,24 +248,19 @@ class SpecFEM3DProxy(AppModel):
             .build()
         )
 
-    def rank_script(self, comm: SimComm) -> None:
-        c = self._counts(comm.rank, comm.size)
-        geom = c["geom"]
-        for _step in range(self.params.n_steps):
-            comm.compute(BLOCK_ELEMENT_KERNEL, c["elements"])
-            comm.compute(BLOCK_UPDATE_VECTORS, c["points"])
-            if c["boundary_points"]:
-                comm.compute(BLOCK_ABSORBING, c["boundary_points"])
-            comm.compute(BLOCK_HALO_PACK, max(c["halo_points"], 1))
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _POINTS_PER_FACE * 8
-                comm.send(neighbor, nbytes, tag=dim)
-            for (dim, _direction), neighbor in sorted(geom.neighbors.items()):
-                nbytes = geom.face_cells(dim) * _POINTS_PER_FACE * 8
-                comm.recv(neighbor, nbytes, tag=dim)
-            comm.compute(BLOCK_ASSEMBLY, max(c["halo_points"], 1))
-            comm.compute(BLOCK_NORM_STAGES, c["norm_iters"])
-            comm.allreduce(8)
-
-    def equivalence_classes(self, n_ranks: int) -> List[List[int]]:
-        return self.decomposition(n_ranks).equivalence_classes()
+    def time_step(self, n_ranks: int) -> List[Column]:
+        geo = self.decomposition(n_ranks).rows()
+        c = self._counts(geo, n_ranks)
+        halo = np.maximum(c["halo_points"], 1)
+        nbytes = geo.face_cells * (_POINTS_PER_FACE * 8)
+        return [
+            Column(COMPUTE, BLOCK_ELEMENT_KERNEL, c["elements"]),
+            Column(COMPUTE, BLOCK_UPDATE_VECTORS, c["points"]),
+            Column(COMPUTE, BLOCK_ABSORBING, c["boundary_points"]),  # 0: no event
+            Column(COMPUTE, BLOCK_HALO_PACK, halo),
+            *exchange(SEND, geo.neighbors, nbytes),
+            *exchange(RECV, geo.neighbors, nbytes),
+            Column(COMPUTE, BLOCK_ASSEMBLY, halo),
+            Column(COMPUTE, BLOCK_NORM_STAGES, c["norm_iters"]),
+            Column(COLLECTIVE, COLLECTIVE_OPS.index("allreduce"), 8),
+        ]

@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-from repro.apps.base import AppModel, ScalingMode
-from repro.apps.decomposition import CartesianDecomposition, factor3
+import numpy as np
+
+from repro.apps.base import AppModel, Column, ScalingMode, exchange
+from repro.apps.decomposition import Rows, group_ranks
 from repro.instrument.builder import ProgramBuilder
 from repro.instrument.program import Program
 from repro.memstream.patterns import (
@@ -43,7 +44,7 @@ from repro.memstream.patterns import (
     StencilPattern,
     StridedPattern,
 )
-from repro.simmpi.comm import SimComm
+from repro.simmpi.runtime import COLLECTIVE, COLLECTIVE_OPS, COMPUTE, RECV, SEND
 
 BLOCK_PARTICLE_PUSH = 0
 BLOCK_FIELD_GATHER = 1
@@ -92,22 +93,17 @@ class UH3DProxy(AppModel):
         self.params = params
         self.scaling = scaling
 
-    @lru_cache(maxsize=32)
-    def decomposition(self, n_ranks: int) -> CartesianDecomposition:
-        if self.scaling is ScalingMode.STRONG:
-            cells = self.params.global_cells
-        else:
-            grid = factor3(n_ranks)
-            cells = tuple(
-                c * g for c, g in zip(self.params.weak_cells_per_rank, grid)
-            )
-        return CartesianDecomposition(cells, n_ranks, periodic=(True, True, True))
+    periodic = (True, True, True)
+
+    def domain(self):
+        return self.params.global_cells, self.params.weak_cells_per_rank
 
     # ------------------------------------------------------------------
     # particle density model
 
-    def density_level(self, rank: int, n_ranks: int) -> int:
-        """Quantized density level (0..levels-1) at a rank's position.
+    def density_levels(self, n_ranks: int, ranks=None) -> np.ndarray:
+        """Quantized density level (0..levels-1) at the position of each
+        of ``ranks`` (default: every rank).
 
         The density field is a fixed function of *normalized* domain
         position — a Gaussian enhancement centered on the dayside
@@ -117,59 +113,51 @@ class UH3DProxy(AppModel):
         across core counts.
         """
         dec = self.decomposition(n_ranks)
-        coords = dec.coords_of(rank)
-        pos = tuple(
-            (coords[d] + 0.5) / dec.grid[d] for d in range(3)
-        )
-        dx = pos[0] - 0.25
-        dy = pos[1] - 0.5
-        dz = pos[2] - 0.5
-        enhancement = math.exp(-(dx * dx + dy * dy + dz * dz) / 0.08)
+        dx, dy, dz = ((dec.rows(ranks).coords + 0.5) / dec.grid - (0.25, 0.5, 0.5)).T
+        exponent = -(dx * dx + dy * dy + dz * dz) / 0.08
+        # math.exp, not np.exp: numpy's may round differently
+        enhancement = np.fromiter(map(math.exp, exponent.tolist()), float)
         density = 1.0 + (self.params.density_peak - 1.0) * enhancement
         # quantize into [1, density_peak]
         levels = self.params.density_levels
         frac = (density - 1.0) / max(self.params.density_peak - 1.0, 1e-12)
-        return min(int(frac * levels), levels - 1)
+        return np.minimum((frac * levels).astype(np.int64), levels - 1)
 
-    def _density_of_level(self, level: int) -> float:
-        levels = self.params.density_levels
-        frac = (level + 0.5) / levels
-        return 1.0 + (self.params.density_peak - 1.0) * frac
-
-    def local_particles(self, rank: int, n_ranks: int) -> int:
-        """Particle count of one rank (density-quantized)."""
-        geom = self.decomposition(n_ranks).geometry(rank)
-        level = self.density_level(rank, n_ranks)
-        return int(
-            geom.n_cells * self.params.particles_per_cell * self._density_of_level(level)
-        )
+    def density_level(self, rank: int, n_ranks: int) -> int:
+        """One rank's :meth:`density_levels`."""
+        return int(self.density_levels(n_ranks, [rank])[0])
 
     # ------------------------------------------------------------------
+    # per-step iteration counts of some ranks' rows (shared by program and job)
 
-    @lru_cache(maxsize=65536)
-    def _counts(self, rank: int, n_ranks: int) -> dict:
-        geom = self.decomposition(n_ranks).geometry(rank)
-        particles = self.local_particles(rank, n_ranks)
+    def _counts(self, geo: Rows, n_ranks: int) -> dict:
+        cells = geo.n_cells
+        levels = self.params.density_levels
+        density = 1.0 + (self.params.density_peak - 1.0) * (
+            (self.density_levels(n_ranks, geo.ranks) + 0.5) / levels
+        )
+        # density-quantized particle counts
+        particles = (cells * self.params.particles_per_cell * density).astype(np.int64)
         tree_depth = max(1, math.ceil(math.log2(max(n_ranks, 2))))
         return {
-            "geom": geom,
-            "cells": geom.n_cells,
+            "cells": cells,
             "particles": particles,
-            "exchange_particles": max(
-                1, int(particles * self.params.exchange_fraction)
+            "exchange_particles": np.maximum(
+                1, (particles * self.params.exchange_fraction).astype(np.int64)
             ),
-            "div_iters": self.params.div_clean_buffer * tree_depth,
+            "div_iters": np.full(geo.ranks.size, self.params.div_clean_buffer * tree_depth),
         }
 
     def rank_program(self, rank: int, n_ranks: int) -> Program:
-        c = self._counts(rank, n_ranks)
+        geo = self.decomposition(n_ranks).rows([rank])
+        c = {k: int(v[0]) for k, v in self._counts(geo, n_ranks).items()}
         steps = self.params.n_steps
         particle_bytes = max(c["particles"] * _BYTES_PER_PARTICLE, 4096)
         field_bytes = max(c["cells"] * _BYTES_PER_CELL * _FIELD_ARRAYS, 4096)
         grid_bytes = max(c["cells"] * _BYTES_PER_CELL, 4096)
         exchange_bytes = max(c["exchange_particles"] * _BYTES_PER_PARTICLE, 512)
         div_bytes = self.params.div_clean_buffer * 8
-        nx, ny, _nz = c["geom"].local_cells
+        nx, ny, _nz = geo.extents[0].tolist()
         stencil = (-nx * ny, -nx, -1, 0, 1, nx, nx * ny)
         return (
             ProgramBuilder(f"{self.name}-r{rank}-p{n_ranks}")
@@ -250,51 +238,33 @@ class UH3DProxy(AppModel):
             .build()
         )
 
-    def rank_script(self, comm: SimComm) -> None:
-        c = self._counts(comm.rank, comm.size)
-        geom = c["geom"]
-        field_halo = {
-            dim: geom.face_cells(dim) * _BYTES_PER_CELL * _FIELD_ARRAYS
-            for dim in range(3)
-        }
-        particle_msg = max(
-            1, c["exchange_particles"] // max(len(geom.neighbors), 1)
+    def time_step(self, n_ranks: int) -> List[Column]:
+        geo = self.decomposition(n_ranks).rows()
+        c = self._counts(geo, n_ranks)
+        neighbors = geo.neighbors
+        particle_msg = np.maximum(
+            1, c["exchange_particles"] // np.maximum((neighbors >= 0).sum(axis=1), 1)
         ) * _BYTES_PER_PARTICLE
-        for _step in range(self.params.n_steps):
-            comm.compute(BLOCK_FIELD_GATHER, c["particles"])
-            comm.compute(BLOCK_PARTICLE_PUSH, c["particles"])
-            comm.compute(BLOCK_EXCHANGE_PACK, c["exchange_particles"])
+        field_halo = geo.face_cells * (_BYTES_PER_CELL * _FIELD_ARRAYS)
+        return [
+            Column(COMPUTE, BLOCK_FIELD_GATHER, c["particles"]),
+            Column(COMPUTE, BLOCK_PARTICLE_PUSH, c["particles"]),
+            Column(COMPUTE, BLOCK_EXCHANGE_PACK, c["exchange_particles"]),
             # particle exchange: sizes depend on the *sender's* load, so
             # post sends first, then receive what each neighbor sent.
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                comm.send(neighbor, particle_msg, tag=10 + dim)
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                their = self._counts(neighbor, comm.size)
-                their_msg = max(
-                    1,
-                    their["exchange_particles"]
-                    // max(len(their["geom"].neighbors), 1),
-                ) * _BYTES_PER_PARTICLE
-                comm.recv(neighbor, their_msg, tag=10 + dim)
-            comm.compute(BLOCK_CURRENT_SCATTER, c["particles"])
-            comm.compute(
-                BLOCK_FIELD_SOLVE, c["cells"] * self.params.field_solve_iters
-            )
+            *exchange(SEND, neighbors, particle_msg[:, None], tag=10),
+            *exchange(RECV, neighbors, particle_msg[neighbors], tag=10),
+            Column(COMPUTE, BLOCK_CURRENT_SCATTER, c["particles"]),
+            Column(COMPUTE, BLOCK_FIELD_SOLVE, c["cells"] * self.params.field_solve_iters),
             # field halo exchange
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                comm.send(neighbor, field_halo[dim], tag=20 + dim)
-            for (dim, direction), neighbor in sorted(geom.neighbors.items()):
-                comm.recv(neighbor, field_halo[dim], tag=20 + dim)
-            comm.compute(BLOCK_ELECTRON_FLUID, c["cells"])
-            comm.compute(BLOCK_DIV_CLEAN, c["div_iters"])
-            comm.allreduce(16)
+            *exchange(SEND, neighbors, field_halo, tag=20),
+            *exchange(RECV, neighbors, field_halo, tag=20),
+            Column(COMPUTE, BLOCK_ELECTRON_FLUID, c["cells"]),
+            Column(COMPUTE, BLOCK_DIV_CLEAN, c["div_iters"]),
+            Column(COLLECTIVE, COLLECTIVE_OPS.index("allreduce"), 16),
+        ]
 
     def equivalence_classes(self, n_ranks: int) -> List[List[int]]:
         """Group ranks by (geometry class, density level)."""
-        base = self.decomposition(n_ranks).equivalence_classes()
-        classes: Dict[Tuple[int, int], List[int]] = {}
-        for gi, group in enumerate(base):
-            for rank in group:
-                key = (gi, self.density_level(rank, n_ranks))
-                classes.setdefault(key, []).append(rank)
-        return [sorted(v) for v in sorted(classes.values(), key=lambda c: c[0])]
+        keys = self.decomposition(n_ranks).rows().class_keys()
+        return group_ranks(np.column_stack([keys, self.density_levels(n_ranks)]))

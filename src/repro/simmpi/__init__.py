@@ -4,15 +4,16 @@ The paper's pipeline needs per-rank *event traces* (computation phases
 separated by communication events) and a lightweight profiling pass that
 identifies the most computationally demanding MPI task (the
 PSiNSTracer-based step of §IV).  Real MPI runs at 96–8192 ranks are not
-available here, so SimMPI executes per-rank script functions written
-against an mpi4py-like API (:class:`SimComm`) and records their
-communication/computation events straight into flat per-event arrays —
-a :class:`Job`, the one format the PSiNS replay (:mod:`repro.psins.replay`)
-compiles and every analysis reads.  :func:`match_messages` is the one
-static send/recv matcher.
+available here, so SimMPI simulates them as a :class:`Job`: flat
+per-event arrays of communication/computation events, the one format the
+PSiNS replay (:mod:`repro.psins.replay`) compiles and every analysis
+reads.  :func:`match_messages` is the one static send/recv matcher.
 
-Rank functions are plain Python callables executed one rank at a time —
-apps are SPMD and deterministic, so no actual concurrency is needed to
+The application proxies emit their jobs' arrays directly
+(:meth:`repro.apps.base.AppModel.build_job`).  :class:`SimComm` and
+:func:`run_job` are the generic recorder for hand-written rank functions
+against an mpi4py-like API: plain Python callables executed one rank at
+a time — SPMD and deterministic, so no actual concurrency is needed to
 reconstruct each rank's event sequence.
 """
 

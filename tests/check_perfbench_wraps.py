@@ -10,8 +10,10 @@ benchmark run (``perfbench/run.py --trace 1``) fails.  CI runs::
 Each target must import, and its function must be defined right where
 the table says: in the module's namespace, or in the class ``__dict__``
 for a method (an inherited method would be wrapped on the wrong class).
-Exit status 0 when every target resolves, 1 otherwise (one line per
-broken target on stderr).
+No registered app class (``repro.apps.registry.APP_BUILDERS``) may
+override a wrapped method either: calls to the override would bypass
+the wrapper unseen.  Exit status 0 when every target resolves, 1
+otherwise (one line per broken target on stderr).
 """
 
 from __future__ import annotations
@@ -42,7 +44,20 @@ def broken_targets() -> List[str]:
             owner = getattr(owner, part, None)
         if owner is None or attr not in vars(owner):
             problems.append(f"{target}: not defined there")
+        elif isinstance(owner, type):
+            problems += [
+                f"{target}: overridden by {cls.__module__}.{cls.__qualname__}"
+                for cls in _app_classes()
+                if issubclass(cls, owner)
+                and next(c for c in cls.__mro__ if attr in vars(c)) is not owner
+            ]
     return problems
+
+
+def _app_classes() -> List[type]:
+    from repro.apps.registry import APP_BUILDERS
+
+    return [b for b in APP_BUILDERS.values() if isinstance(b, type)]
 
 
 def main() -> int:

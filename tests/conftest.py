@@ -50,6 +50,14 @@ def program_digest(prog) -> str:
     return h.hexdigest()
 
 
+def job_digest(job) -> str:
+    """SHA-256 over a job's event arrays (offsets, kind, arg, count, tag)."""
+    h = hashlib.sha256()
+    for a in (job.offsets, job.kind, job.arg, job.count, job.tag):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="session")
 def small_jacobi():
     """A Jacobi proxy small enough to trace at many core counts."""
